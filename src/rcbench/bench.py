@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -597,10 +598,12 @@ def run_sweep(
         for level in entry.levels
         for replicate in range(cfg.replicates)
     ]
-    if jobs <= 1:
+    # A pool starts its workers up front, so never ask for more than can run.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_run_task_star(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task_star, tasks))
     rows: list[BenchRow] = []
     heatmaps: dict[str, np.ndarray] = {}
@@ -696,8 +699,8 @@ def gen_manifest(
 
     A ``1 - clean_ratio`` fraction of scenes gets a uniformly chosen
     corruption kind at a random level: sigma ~ U[1, 50] for the
-    sigma-parameterized kinds, a uniform beam count in [1, total/2] for
-    beam dropping.
+    sigma-parameterized kinds, and for KeyPointMissing a uniform count of
+    points to remove in [1, total_beams / 2].
     """
     if count < 1:
         raise ValueError("manifest needs at least one scene")

@@ -98,7 +98,11 @@ def _cmd_corrupt(args) -> int:
             raise ConfigError(f"{kind.value} level must be positive")
         spec = CorruptionSpec(kind=kind, seed=args.seed, sigma=args.level)
     cloud = read_point_cloud_csv(args.in_path)
-    corrupted = apply_corruption(cloud, spec, bounds=default_grid())
+    try:
+        corrupted = apply_corruption(cloud, spec, bounds=default_grid())
+    except ValueError as exc:
+        # The level is infeasible for this cloud, e.g. more points than it holds.
+        raise ConfigError(str(exc)) from exc
     write_point_cloud_csv(corrupted, args.out)
     print(
         f"{kind.value} level={args.level:g}: {len(cloud)} -> {len(corrupted)} points",

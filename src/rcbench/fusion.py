@@ -277,8 +277,21 @@ class FusionParams:
 
 # ---------------------------------------------------------------------------
 # Forward-mode primitives. Every helper maps (value, tangent) -> (value,
-# tangent); running them with a zero tangent gives the plain forward pass.
+# tangent). A ``None`` tangent skips the tangent arithmetic and comes back as
+# ``None``; the value is computed by the same expressions either way, so the
+# forward ops and their JVPs agree bit for bit. Helpers with several inputs
+# take their tangents all as arrays or all as ``None``.
 # ---------------------------------------------------------------------------
+
+
+def _mm(w, x):
+    """Contract the last axis of ``w`` with the channel axis of ``x`` per cell."""
+    c = x.shape[0]
+    return (w.reshape(-1, c) @ x.reshape(c, -1)).reshape(*w.shape[:-1], *x.shape[1:])
+
+
+def _cat(a, b):
+    return None if a is None else np.concatenate([a, b], axis=0)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -292,40 +305,37 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _ln(x, dx, params: LayerNormParams):
     mu = x.mean(axis=0)
-    dmu = dx.mean(axis=0)
     xc = x - mu
-    dxc = dx - dmu
     var = np.mean(xc * xc, axis=0)
-    dvar = 2.0 * np.mean(xc * dxc, axis=0)
     inv = 1.0 / np.sqrt(var + LN_EPSILON)
-    dinv = -0.5 * inv**3 * dvar
     scale = params.scale[:, None, None]
     y = scale * (xc * inv) + params.shift[:, None, None]
-    dy = scale * (dxc * inv + xc * dinv)
-    return y, dy
+    if dx is None:
+        return y, None
+    dxc = dx - dx.mean(axis=0)
+    dvar = 2.0 * np.mean(xc * dxc, axis=0)
+    dinv = -0.5 * inv**3 * dvar
+    return y, scale * (dxc * inv + xc * dinv)
 
 
 def _cellwise_affine(x, dx, w, b):
-    y = np.einsum("oc,chw->ohw", w, x) + b[:, None, None]
-    dy = np.einsum("oc,chw->ohw", w, dx)
-    return y, dy
+    y = _mm(w, x) + b[:, None, None]
+    return y, None if dx is None else _mm(w, dx)
 
 
 def _conf(x, dx, params: ConfidenceMlpParams):
-    h = np.einsum("kc,chw->khw", params.w1, x) + params.b1[:, None, None]
-    dh = np.einsum("kc,chw->khw", params.w1, dx)
+    h, dh = _cellwise_affine(x, dx, params.w1, params.b1)
     active = h > 0.0
-    h = h * active
-    dh = dh * active
-    logits = np.einsum("lk,khw->lhw", params.w2, h) + params.b2[:, None, None]
-    dlogits = np.einsum("lk,khw->lhw", params.w2, dh)
-    diff = logits[0] - logits[1]
-    m_raw = _sigmoid(diff)
-    dm = m_raw * (1.0 - m_raw) * (dlogits[0] - dlogits[1])
+    logits, dlogits = _cellwise_affine(
+        h * active, None if dh is None else dh * active, params.w2, params.b2
+    )
+    m_raw = _sigmoid(logits[0] - logits[1])
     lo, hi = CONFIDENCE_CLAMP, 1.0 - CONFIDENCE_CLAMP
     m = np.clip(m_raw, lo, hi)
-    dm = np.where((m_raw > lo) & (m_raw < hi), dm, 0.0)
-    return m, dm
+    if dx is None:
+        return m, None
+    dm = m_raw * (1.0 - m_raw) * (dlogits[0] - dlogits[1])
+    return m, np.where((m_raw > lo) & (m_raw < hi), dm, 0.0)
 
 
 def _attn(q, dq, v, dv, params: DeformAttnParams):
@@ -338,19 +348,11 @@ def _attn(q, dq, v, dv, params: DeformAttnParams):
         )
     dv_head = cv // heads
 
-    off = np.einsum("hkc,cyx->hkyx", params.offset_w, q)
-    off += params.offset_b[:, :, None, None]
-    doff = np.einsum("hkc,cyx->hkyx", params.offset_w, dq)
+    off = _mm(params.offset_w, q) + params.offset_b[:, :, None, None]
     off = off.reshape(heads, points, 2, height, width)
-    doff = doff.reshape(heads, points, 2, height, width)
-
-    logits = np.einsum("hpc,cyx->hpyx", params.weight_w, q)
-    logits += params.weight_b[:, :, None, None]
-    dlogits = np.einsum("hpc,cyx->hpyx", params.weight_w, dq)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expl = np.exp(shifted)
+    logits = _mm(params.weight_w, q) + params.weight_b[:, :, None, None]
+    expl = np.exp(logits - logits.max(axis=1, keepdims=True))
     attn = expl / expl.sum(axis=1, keepdims=True)
-    dattn = attn * (dlogits - (attn * dlogits).sum(axis=1, keepdims=True))
 
     cols = np.arange(width, dtype=np.float64)[None, None, None, :]
     rows = np.arange(height, dtype=np.float64)[None, None, :, None]
@@ -358,100 +360,101 @@ def _attn(q, dq, v, dv, params: DeformAttnParams):
     py_raw = rows + off[:, :, 1]
     px = np.clip(px_raw, 0.0, width - 1.0)
     py = np.clip(py_raw, 0.0, height - 1.0)
-    # Sampling clamps to the border; the position tangent dies there.
-    dpx = doff[:, :, 0] * ((px_raw > 0.0) & (px_raw < width - 1.0))
-    dpy = doff[:, :, 1] * ((py_raw > 0.0) & (py_raw < height - 1.0))
-
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     fx = px - x0
     fy = py - y0
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
+    # Corners (y0, x0), (y0, x1), (y1, x0), (y1, x1) as flat row * width + col
+    # indices, each weighted by attention times its two bilinear factors.
+    wx, wy = (1 - fx, fx), (1 - fy, fy)
+    pairs = [(a, b) for a in (0, 1) for b in (0, 1)]
+    corners = [(y0, y1)[a] * width + (x0, x1)[b] for a, b in pairs]
+    weights = [attn * wy[a] * wx[b] for a, b in pairs]
 
-    v_heads = v.reshape(heads, dv_head, height, width)
-    dv_heads = dv.reshape(heads, dv_head, height, width)
-    out = np.empty((heads, dv_head, height, width))
-    dout = np.empty_like(out)
-    for h in range(heads):
-        vh, dvh = v_heads[h], dv_heads[h]
-        gathers = [
-            (vh[:, y0[h], x0[h]], dvh[:, y0[h], x0[h]]),
-            (vh[:, y0[h], x1[h]], dvh[:, y0[h], x1[h]]),
-            (vh[:, y1[h], x0[h]], dvh[:, y1[h], x0[h]]),
-            (vh[:, y1[h], x1[h]], dvh[:, y1[h], x1[h]]),
+    if dq is not None:
+        doff = _mm(params.offset_w, dq).reshape(heads, points, 2, height, width)
+        dlogits = _mm(params.weight_w, dq)
+        dattn = attn * (dlogits - (attn * dlogits).sum(axis=1, keepdims=True))
+        # Sampling clamps to the border; the position tangent dies there.
+        dpx = doff[:, :, 0] * ((px_raw > 0.0) & (px_raw < width - 1.0))
+        dpy = doff[:, :, 1] * ((py_raw > 0.0) & (py_raw < height - 1.0))
+        dwx, dwy = (-dpx, dpx), (-dpy, dpy)
+        dweights = [
+            dattn * wy[a] * wx[b] + attn * (dwy[a] * wx[b] + wy[a] * dwx[b])
+            for a, b in pairs
         ]
-        (v00, dv00), (v01, dv01), (v10, dv10), (v11, dv11) = gathers
-        wfx, wfy = fx[h][None], fy[h][None]
-        sample = (
-            (1 - wfy) * ((1 - wfx) * v00 + wfx * v01)
-            + wfy * ((1 - wfx) * v10 + wfx * v11)
-        )
-        dsample = (
-            (1 - wfy) * ((1 - wfx) * dv00 + wfx * dv01)
-            + wfy * ((1 - wfx) * dv10 + wfx * dv11)
-        )
-        grad_x = (1 - wfy) * (v01 - v00) + wfy * (v11 - v10)
-        grad_y = (1 - wfx) * (v10 - v00) + wfx * (v11 - v01)
-        dsample += grad_x * dpx[h][None] + grad_y * dpy[h][None]
-        ah, dah = attn[h][None], dattn[h][None]
-        out[h] = (ah * sample).sum(axis=1)
-        dout[h] = (dah * sample + ah * dsample).sum(axis=1)
+        dv_heads = dv.reshape(heads, dv_head, height * width)
+        dout = np.zeros((heads, dv_head, height, width))
+
+    # out = sum_k w_k * v[corner_k], so dout = sum_k (dw_k * v[corner_k] +
+    # w_k * dv[corner_k]). One (head, point) at a time bounds the gathers.
+    v_heads = v.reshape(heads, dv_head, height * width)
+    out = np.zeros((heads, dv_head, height, width))
+    for h in range(heads):
+        for p in range(points):
+            for k, idx in enumerate(corners):
+                sample = np.take(v_heads[h], idx[h, p], axis=1)
+                out[h] += weights[k][h, p] * sample
+                if dq is not None:
+                    dsample = np.take(dv_heads[h], idx[h, p], axis=1)
+                    dout[h] += dweights[k][h, p] * sample + weights[k][h, p] * dsample
 
     cat = out.reshape(cv, height, width)
-    dcat = dout.reshape(cv, height, width)
+    dcat = None if dq is None else dout.reshape(cv, height, width)
     return _cellwise_affine(cat, dcat, params.out_w, params.out_b)
 
 
-def _conv3_raw(x, kernel):
+def _conv3_raw(x, taps):
     _, height, width = x.shape
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros((kernel.shape[0], height, width))
+    out = np.zeros((taps.shape[2], height, width))
     for ky in range(3):
         for kx in range(3):
-            out += np.einsum(
-                "oi,ihw->ohw",
-                kernel[:, :, ky, kx],
-                padded[:, ky : ky + height, kx : kx + width],
-            )
+            out += _mm(taps[ky, kx], padded[:, ky : ky + height, kx : kx + width])
     return out
 
 
 def _conv3(x, dx, params: ConvParams):
-    y = _conv3_raw(x, params.kernel) + params.bias[:, None, None]
-    return y, _conv3_raw(dx, params.kernel)
+    # (3, 3, out, in), so each tap is a contiguous (out, in) matrix for BLAS.
+    taps = np.ascontiguousarray(params.kernel.transpose(2, 3, 0, 1))
+    y = _conv3_raw(x, taps) + params.bias[:, None, None]
+    return y, None if dx is None else _conv3_raw(dx, taps)
 
 
 def _weighted(fi, dfi, fp, dfp, m, dm):
-    mb, dmb = m[None], dm[None]
+    mb = m[None]
     fic = mb * fi
-    dfic = dmb * fi + mb * dfi
     fpc = (1.0 - mb) * fp
-    dfpc = -dmb * fp + (1.0 - mb) * dfp
-    return fic, dfic, fpc, dfpc
+    if dm is None:
+        return fic, None, fpc, None
+    dmb = dm[None]
+    return fic, dmb * fi + mb * dfi, fpc, -dmb * fp + (1.0 - mb) * dfp
+
+
+def _aggregate(fi, dfi, fp, dfp, params: FusionParams):
+    ln_i, dln_i = _ln(fi, dfi, params.ln_image)
+    ln_p, dln_p = _ln(fp, dfp, params.ln_radar)
+    return _cellwise_affine(
+        _cat(ln_i, ln_p), _cat(dln_i, dln_p), params.agg_w.w, params.agg_w.b
+    )
+
+
+def _concat_mm(fic, dfic, fpc, dfpc, params: FusionParams):
+    ln_wi, dln_wi = _ln(fic, dfic, params.ln_weighted_image)
+    ln_wp, dln_wp = _ln(fpc, dfpc, params.ln_weighted_radar)
+    return _cat(ln_wi, ln_wp), _cat(dln_wi, dln_wp)
 
 
 def _fuse(fi, dfi, fp, dfp, params: FusionParams):
-    ln_i, dln_i = _ln(fi, dfi, params.ln_image)
-    ln_p, dln_p = _ln(fp, dfp, params.ln_radar)
-    agg_in = np.concatenate([ln_i, ln_p], axis=0)
-    dagg_in = np.concatenate([dln_i, dln_p], axis=0)
-    f_a, df_a = _cellwise_affine(agg_in, dagg_in, params.agg_w.w, params.agg_w.b)
-
+    f_a, df_a = _aggregate(fi, dfi, fp, dfp, params)
     m, dm = _conf(fi, dfi, params.conf_mlp)
     fic, dfic, fpc, dfpc = _weighted(fi, dfi, fp, dfp, m, dm)
-    ln_wi, dln_wi = _ln(fic, dfic, params.ln_weighted_image)
-    ln_wp, dln_wp = _ln(fpc, dfpc, params.ln_weighted_radar)
-    f_mm = np.concatenate([ln_wi, ln_wp], axis=0)
-    df_mm = np.concatenate([dln_wi, dln_wp], axis=0)
-
-    v_plain = np.concatenate([fi, fp], axis=0)
-    dv_plain = np.concatenate([dfi, dfp], axis=0)
-    branch_plain, dbranch_plain = _attn(f_a, df_a, v_plain, dv_plain, params.attn_plain)
-    branch_conf, dbranch_conf = _attn(f_a, df_a, f_mm, df_mm, params.attn_weighted)
-    summed = branch_plain + branch_conf
-    dsummed = dbranch_plain + dbranch_conf
-    return _conv3(summed, dsummed, params.out_conv)
+    f_mm, df_mm = _concat_mm(fic, dfic, fpc, dfpc, params)
+    plain, dplain = _attn(f_a, df_a, _cat(fi, fp), _cat(dfi, dfp), params.attn_plain)
+    conf, dconf = _attn(f_a, df_a, f_mm, df_mm, params.attn_weighted)
+    return _conv3(plain + conf, None if dfi is None else dplain + dconf, params.out_conv)
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +462,11 @@ def _fuse(fi, dfi, fp, dfp, params: FusionParams):
 # ---------------------------------------------------------------------------
 
 
-def _zeros(x: np.ndarray) -> np.ndarray:
-    return np.zeros_like(x)
-
-
 def layer_norm(f: FeatureMap, params: LayerNormParams) -> FeatureMap:
     """Standardize each cell across channels, then scale and shift."""
     if params.channels != f.channels:
         raise ValueError("layer-norm width must match feature channels")
-    y, _ = _ln(f.data, _zeros(f.data), params)
+    y, _ = _ln(f.data, None, params)
     return FeatureMap(y)
 
 
@@ -482,7 +481,7 @@ def confidence_map(f_image: FeatureMap, params: ConfidenceMlpParams) -> Confiden
     """
     if params.channels != f_image.channels:
         raise ValueError("confidence MLP width must match feature channels")
-    m, _ = _conf(f_image.data, _zeros(f_image.data), params)
+    m, _ = _conf(f_image.data, None, params)
     return ConfidenceMap(m)
 
 
@@ -498,14 +497,7 @@ def weight_features(
         raise ValueError("feature maps must share a shape")
     if m.data.shape != f_image.data.shape[1:]:
         raise ValueError("confidence map dims must match the features")
-    fic, _, fpc, _ = _weighted(
-        f_image.data,
-        _zeros(f_image.data),
-        f_radar.data,
-        _zeros(f_radar.data),
-        m.data,
-        _zeros(m.data),
-    )
+    fic, _, fpc, _ = _weighted(f_image.data, None, f_radar.data, None, m.data, None)
     return FeatureMap(fic), FeatureMap(fpc)
 
 
@@ -523,18 +515,8 @@ def aggregate(
     """
     if f_image.data.shape != f_radar.data.shape:
         raise ValueError("feature maps must share a shape")
-    y, _ = _aggregate(
-        f_image.data, _zeros(f_image.data), f_radar.data, _zeros(f_radar.data), params
-    )
+    y, _ = _aggregate(f_image.data, None, f_radar.data, None, params)
     return FeatureMap(y)
-
-
-def _aggregate(fi, dfi, fp, dfp, params: FusionParams):
-    ln_i, dln_i = _ln(fi, dfi, params.ln_image)
-    ln_p, dln_p = _ln(fp, dfp, params.ln_radar)
-    cat = np.concatenate([ln_i, ln_p], axis=0)
-    dcat = np.concatenate([dln_i, dln_p], axis=0)
-    return _cellwise_affine(cat, dcat, params.agg_w.w, params.agg_w.b)
 
 
 def aggregate_jvp(fi, dfi, fp, dfp, params: FusionParams):
@@ -547,22 +529,8 @@ def concat_mm(
     """Layer-normalize the two confidence-weighted maps and concatenate."""
     if f_image_conf.data.shape != f_radar_conf.data.shape:
         raise ValueError("feature maps must share a shape")
-    y, _ = _concat_mm(
-        f_image_conf.data,
-        _zeros(f_image_conf.data),
-        f_radar_conf.data,
-        _zeros(f_radar_conf.data),
-        params,
-    )
+    y, _ = _concat_mm(f_image_conf.data, None, f_radar_conf.data, None, params)
     return FeatureMap(y)
-
-
-def _concat_mm(fic, dfic, fpc, dfpc, params: FusionParams):
-    ln_wi, dln_wi = _ln(fic, dfic, params.ln_weighted_image)
-    ln_wp, dln_wp = _ln(fpc, dfpc, params.ln_weighted_radar)
-    y = np.concatenate([ln_wi, ln_wp], axis=0)
-    dy = np.concatenate([dln_wi, dln_wp], axis=0)
-    return y, dy
 
 
 def concat_mm_jvp(fic, dfic, fpc, dfpc, params: FusionParams):
@@ -583,9 +551,7 @@ def deform_cross_attention(
         raise ValueError(
             f"value channels {value.channels} not divisible by {params.heads} heads"
         )
-    y, _ = _attn(
-        query.data, _zeros(query.data), value.data, _zeros(value.data), params
-    )
+    y, _ = _attn(query.data, None, value.data, None, params)
     return FeatureMap(y)
 
 
@@ -602,9 +568,7 @@ def fuse_bev(
         raise ValueError("feature maps must share a shape")
     if f_image.channels != params.channels:
         raise ValueError("feature channels must match the parameter set")
-    y, _ = _fuse(
-        f_image.data, _zeros(f_image.data), f_radar.data, _zeros(f_radar.data), params
-    )
+    y, _ = _fuse(f_image.data, None, f_radar.data, None, params)
     return FeatureMap(y)
 
 
@@ -614,7 +578,7 @@ def fuse_bev_jvp(fi, dfi, fp, dfp, params: FusionParams):
 
 def conv_merge(f: FeatureMap, params: ConvParams) -> FeatureMap:
     """Zero-padded 3x3 convolution used as the final merge."""
-    y, _ = _conv3(f.data, _zeros(f.data), params)
+    y, _ = _conv3(f.data, None, params)
     return FeatureMap(y)
 
 

@@ -254,6 +254,41 @@ class TestRunSweep:
         for key in maps_s:
             assert np.array_equal(maps_s[key], maps_p[key])
 
+    @pytest.mark.parametrize(
+        "jobs, replicates, cpus, want",
+        [
+            (10_000, 2, 4, 2),
+            (10_000, 4, 2, 2),
+            (2, 4, 2, 2),
+            (3, 8, 16, 3),
+            (4, 4, 1, None),
+        ],
+    )
+    def test_jobs_clamped_to_tasks_and_cpus(
+        self, monkeypatch, jobs, replicates, cpus, want
+    ):
+        """The pool never gets more workers than tasks or CPUs; one CPU runs serially."""
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("rcbench.bench.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: cpus)
+        rows, _ = run_sweep(tiny_config(replicates=replicates), jobs=jobs)
+        assert started == ([] if want is None else [want])
+        assert len(rows) == 2 * replicates
+
 
 class TestEmitHeatmap:
     def test_quantization_example(self, tmp_path):
@@ -466,6 +501,26 @@ class TestCli:
                 "hail",
                 "--level",
                 "1",
+                "--seed",
+                "0",
+                "--in",
+                str(src),
+                "--out",
+                str(tmp_path / "y.csv"),
+            ]
+        )
+        assert code == 1
+
+    def test_infeasible_keypoint_count_is_exit_1(self, tmp_path):
+        src = tmp_path / "x.csv"
+        main(["gen-scene", "--seed", "1", "--out", str(src)])
+        code = main(
+            [
+                "corrupt",
+                "--kind",
+                "keypoint",
+                "--level",
+                "100000",
                 "--seed",
                 "0",
                 "--in",
