@@ -51,6 +51,9 @@ from .expansion import (
 PIPELINES = ("raw", "3dge_planar", "3dge_isotropic")
 PROJECTOR_MODES = ("heuristic", "weights-file")
 
+# Point-pair distances metric_chamfer holds at once, about.
+CHAMFER_BLOCK = 1 << 18
+
 # Clean fraction of the noisy-training data recipe.
 MANIFEST_CLEAN_RATIO = 0.8
 
@@ -403,6 +406,28 @@ def scripted_scene(seed: int) -> Scene:
     return gen_scene(cfg, default_grid(), Rng(seed))
 
 
+def _pipeline_bevs(
+    cloud: PointCloud, grid: GridSpec, pipelines, weights: ProjectorWeights | None
+) -> dict[str, np.ndarray]:
+    """BEV heatmaps of a cloud under "raw" and each named pipeline.
+
+    The cloud is voxelized once and its kernel params are computed once,
+    however many pipelines expand it.
+    """
+    for pipeline in pipelines:
+        if pipeline not in PIPELINES:
+            raise ValueError(f"unknown pipeline {pipeline!r}")
+    base = voxelize(cloud, grid)
+    bevs = {"raw": bev_project(base)}
+    expanding = [p for p in pipelines if p != "raw"]
+    params = kernel_params_for_cloud(cloud, weights) if expanding else None
+    for pipeline in expanding:
+        mode = PLANAR_XY if pipeline == "3dge_planar" else ISOTROPIC_3D
+        expanded = expand(cloud, grid, params, mode)
+        bevs[pipeline] = bev_project(merge_residual(base, expanded))
+    return bevs
+
+
 def pipeline_bev(
     cloud: PointCloud,
     grid: GridSpec,
@@ -410,15 +435,7 @@ def pipeline_bev(
     weights: ProjectorWeights | None = None,
 ) -> np.ndarray:
     """BEV heatmap of a cloud under one of the named pipelines."""
-    if pipeline not in PIPELINES:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    base = voxelize(cloud, grid)
-    if pipeline == "raw":
-        return bev_project(base)
-    mode = PLANAR_XY if pipeline == "3dge_planar" else ISOTROPIC_3D
-    params = kernel_params_for_cloud(cloud, weights)
-    expanded = expand(cloud, grid, params, mode)
-    return bev_project(merge_residual(base, expanded))
+    return _pipeline_bevs(cloud, grid, (pipeline,), weights)[pipeline]
 
 
 def _planar_box_mask(bev_shape, boxes, spec: GridSpec) -> np.ndarray:
@@ -473,12 +490,22 @@ def metric_peak(clean_bev: np.ndarray, processed_bev: np.ndarray) -> tuple[bool,
 
 
 def metric_chamfer(a: PointCloud, b: PointCloud) -> float:
-    """Symmetric Chamfer distance on positions, brute-force O(|a| |b|)."""
+    """Symmetric Chamfer distance on positions, brute-force O(|a| |b|).
+
+    Rows of ``a`` are taken in blocks of about CHAMFER_BLOCK distances,
+    so memory stays bounded however large the clouds are.
+    """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer distance requires non-empty clouds")
-    diff = a.xyz[:, None, :] - b.xyz[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    return float(0.5 * (dist.min(axis=1).mean() + dist.min(axis=0).mean()))
+    row_min = np.empty(len(a))
+    col_min = np.full(len(b), np.inf)
+    step = max(1, CHAMFER_BLOCK // len(b))
+    for lo in range(0, len(a), step):
+        diff = a.xyz[lo : lo + step, None, :] - b.xyz[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        row_min[lo : lo + step] = dist.min(axis=1)
+        np.minimum(col_min, dist.min(axis=0), out=col_min)
+    return float(0.5 * (row_min.mean() + col_min.mean()))
 
 
 @dataclass(frozen=True)
@@ -511,53 +538,39 @@ def _run_task(
     )
     scene = gen_scene(cfg.scene, cfg.grid, Rng(row_seed))
     spec = entry.spec_for(level, seed=derive64(row_seed, 1))
-    corrupt_error: str | None = None
-    corrupted: PointCloud | None = None
+    error: str | None = None
     try:
         corrupted = apply_corruption(
-            scene.cloud,
-            spec,
-            boxes=scene.boxes,
-            bounds=cfg.grid,
-            total_beams=cfg.total_beams,
+            scene.cloud, spec, boxes=scene.boxes, bounds=cfg.grid, total_beams=cfg.total_beams
         )
+        start = time.perf_counter()
+        # One cloud at a time: only its BEVs outlive the call, not its grids.
+        processed = _pipeline_bevs(corrupted, cfg.grid, cfg.pipelines, weights)
+        snr_before = metric_snr(processed["raw"], scene.boxes, cfg.grid)
+        snr_after = {
+            p: snr_before if p == "raw" else metric_snr(processed[p], scene.boxes, cfg.grid)
+            for p in cfg.pipelines
+        }
+        clean = _pipeline_bevs(scene.cloud, cfg.grid, cfg.pipelines, weights)
+        peaks = {p: metric_peak(clean[p], processed[p]) for p in cfg.pipelines}
+        chamfer = metric_chamfer(scene.cloud, corrupted)
+        wall_ms = (time.perf_counter() - start) * 1000.0
     except Exception as exc:
-        corrupt_error = f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
 
     rows = []
     heatmaps: dict[str, np.ndarray] = {}
     for pipeline in cfg.pipelines:
-        base = dict(
-            kind=entry.kind.value,
-            level=level,
-            replicate=replicate,
-            pipeline=pipeline,
-        )
-        if corrupt_error is not None:
-            rows.append(BenchRow(**base, error=corrupt_error))
+        base = dict(kind=entry.kind.value, level=level, replicate=replicate, pipeline=pipeline)
+        if error is not None:
+            rows.append(BenchRow(**base, error=error))
             continue
-        start = time.perf_counter()
-        try:
-            raw_bev = pipeline_bev(corrupted, cfg.grid, "raw")
-            snr_before = metric_snr(raw_bev, scene.boxes, cfg.grid)
-            clean_bev = pipeline_bev(scene.cloud, cfg.grid, pipeline, weights)
-            processed_bev = pipeline_bev(corrupted, cfg.grid, pipeline, weights)
-            snr_after = (
-                snr_before
-                if pipeline == "raw"
-                else metric_snr(processed_bev, scene.boxes, cfg.grid)
-            )
-            consistent, l2 = metric_peak(clean_bev, processed_bev)
-            chamfer = metric_chamfer(scene.cloud, corrupted)
-        except Exception as exc:
-            rows.append(BenchRow(**base, error=f"{type(exc).__name__}: {exc}"))
-            continue
-        wall_ms = (time.perf_counter() - start) * 1000.0
+        consistent, l2 = peaks[pipeline]
         rows.append(
             BenchRow(
                 **base,
                 snr_before=snr_before,
-                snr_after=snr_after,
+                snr_after=snr_after[pipeline],
                 peak_consistent=consistent,
                 peak_l2_cells=l2,
                 chamfer_m=chamfer,
@@ -568,8 +581,8 @@ def _run_task(
         )
         if want_heatmaps:
             tag = f"{entry.kind.value}_l{level:g}_r{replicate}_{pipeline}"
-            heatmaps[f"bev_{tag}"] = processed_bev
-            heatmaps[f"bev_clean_{tag}"] = clean_bev
+            heatmaps[f"bev_{tag}"] = processed[pipeline]
+            heatmaps[f"bev_clean_{tag}"] = clean[pipeline]
     return rows, heatmaps
 
 

@@ -309,19 +309,14 @@ def voxel_index(
     Both range ends are closed; a coordinate exactly at max bins to the
     last cell so boundary points are never silently dropped.
     """
-    idx = []
-    for p, (lo, hi), n in zip(position, spec.ranges, spec.cells):
-        if not lo <= p <= hi:
-            return None
-        i = int(math.floor((p - lo) * n / (hi - lo)))
-        idx.append(min(max(i, 0), n - 1))
-    return tuple(idx)
+    mask, ix, iy, iz = voxel_indices(spec, np.array([position], dtype=np.float64))
+    return (int(ix[0]), int(iy[0]), int(iz[0])) if mask[0] else None
 
 
 def voxel_indices(
     spec: GridSpec, xyz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized voxel_index: (in-range mask, ix, iy, iz).
+    """Vectorized cell indices: (in-range mask, ix, iy, iz).
 
     Index arrays are only meaningful where the mask is True.
     """
@@ -330,7 +325,10 @@ def voxel_indices(
     indices = []
     for axis, ((lo, hi), n) in enumerate(zip(spec.ranges, spec.cells)):
         coord = xyz[:, axis]
-        mask &= (coord >= lo) & (coord <= hi)
+        inside = (coord >= lo) & (coord <= hi)
+        mask &= inside
+        # Scale only in-range coordinates, so no finite input overflows.
+        coord = np.where(inside, coord, lo)
         i = np.floor((coord - lo) * n / (hi - lo)).astype(np.int64)
         indices.append(np.clip(i, 0, n - 1))
     return mask, indices[0], indices[1], indices[2]

@@ -9,6 +9,7 @@ isolated false positives are diluted.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -29,6 +30,10 @@ EXPONENT_MODES = (PLANAR_XY, ISOTROPIC_3D)
 
 PROJECTOR_HIDDEN = 8
 SIGMA_FLOOR = 0.1
+
+# In-range points per np.add.at pass of _deposit: at most 125 (a 5^3
+# footprint) times this many entries are held at once.
+DEPOSIT_BLOCK_POINTS = 4096
 
 VOXEL_GRID_MAGIC = b"RCVG"
 VOXEL_GRID_VERSION = 1
@@ -122,6 +127,10 @@ def project_params(rcs: float, v: float, weights: ProjectorWeights) -> KernelPar
     return KernelParams(lambda_p=lambda_p, sigma=_softplus(out[3]) + SIGMA_FLOOR)
 
 
+# The heuristic's three classes, weakest RCS quartile first.
+_HEURISTIC_CLASSES = tuple(KernelParams(lambda_p=lam, sigma=lam / 3.0) for lam in (5, 3, 1))
+
+
 def heuristic_kernel_params(cloud: PointCloud) -> list[KernelParams]:
     """Training-free parameters from the cloud's RCS quartiles.
 
@@ -132,16 +141,8 @@ def heuristic_kernel_params(cloud: PointCloud) -> list[KernelParams]:
     if len(cloud) == 0:
         return []
     q25, q75 = np.percentile(cloud.rcs, [25.0, 75.0])
-    params = []
-    for rcs in cloud.rcs:
-        if rcs < q25:
-            lam = 5
-        elif rcs < q75:
-            lam = 3
-        else:
-            lam = 1
-        params.append(KernelParams(lambda_p=lam, sigma=lam / 3.0))
-    return params
+    picks = np.select([cloud.rcs < q25, cloud.rcs < q75], [0, 1], default=2)
+    return [_HEURISTIC_CLASSES[i] for i in picks]
 
 
 def kernel_params_for_cloud(
@@ -151,6 +152,14 @@ def kernel_params_for_cloud(
     if weights is None:
         return heuristic_kernel_params(cloud)
     return [project_params(rcs, v, weights) for rcs, v in zip(cloud.rcs, cloud.v)]
+
+
+@functools.lru_cache(maxsize=None)
+def _footprint(side: int) -> np.ndarray:
+    """Shared, read-only (side^3, 3) offsets of a side^3 kernel's cells, in C order."""
+    offsets = np.indices((side, side, side)).reshape(3, -1).T - (side - 1) // 2
+    offsets.setflags(write=False)
+    return offsets
 
 
 def build_kernel(params: KernelParams, exponent_mode: str = PLANAR_XY) -> np.ndarray:
@@ -163,18 +172,46 @@ def build_kernel(params: KernelParams, exponent_mode: str = PLANAR_XY) -> np.nda
     """
     if exponent_mode not in EXPONENT_MODES:
         raise ValueError(f"unknown exponent mode: {exponent_mode!r}")
-    half = (params.lambda_p - 1) // 2
-    offsets = np.arange(-half, half + 1, dtype=np.float64)
-    dx2 = offsets[:, None, None] ** 2
-    dy2 = offsets[None, :, None] ** 2
-    dz2 = offsets[None, None, :] ** 2
-    sq = dx2 + dy2
-    if exponent_mode == ISOTROPIC_3D:
-        sq = sq + dz2
-    else:
-        sq = sq + np.zeros_like(dz2)
-    cube = np.exp(-sq / (2.0 * params.sigma**2))
+    axes = 3 if exponent_mode == ISOTROPIC_3D else 2
+    sq = (_footprint(params.lambda_p)[:, :axes].astype(np.float64) ** 2).sum(axis=1)
+    cube = np.exp(-sq / (2.0 * params.sigma**2)).reshape((params.lambda_p,) * 3)
     return cube / cube.sum()
+
+
+def _deposit(spec: GridSpec, cloud: PointCloud, kernels, which: np.ndarray) -> VoxelGrid:
+    """Deposit point i's RCS/velocity through ``kernels[which[i]]``.
+
+    Each kernel is centered on its point's cell, and footprint cells
+    outside the grid are dropped. The (point, offset) entries go to
+    ``np.add.at`` in point order, so every cell sums its contributions
+    in point order whatever the block size.
+    """
+    mask, ix, iy, iz = voxel_indices(spec, cloud.xyz)
+    # One row per kernel cell, kernel after kernel: its offset and weight.
+    offsets = np.concatenate([_footprint(k.shape[0]) for k in kernels])
+    weights = np.concatenate([k.ravel() for k in kernels])
+    sizes = np.array([k.size for k in kernels])
+    starts = np.cumsum(sizes) - sizes
+    centers = np.column_stack([ix, iy, iz])[mask]
+    picks, rcs_in, vel_in = which[mask], cloud.rcs[mask], cloud.v[mask]
+    shape = spec.cells
+    rcs = np.zeros(shape)
+    vel = np.zeros(shape)
+    for lo in range(0, len(centers), DEPOSIT_BLOCK_POINTS):
+        block = slice(lo, lo + DEPOSIT_BLOCK_POINTS)
+        n = sizes[picks[block]]
+        # Entry j of a point reads row starts[its kernel] + j of the table.
+        point = np.repeat(np.arange(len(n)), n)
+        row = np.arange(len(point)) + np.repeat(starts[picks[block]] - np.cumsum(n) + n, n)
+        cells = centers[block][point] + offsets[row]
+        inside = np.all((cells >= 0) & (cells < shape), axis=1)
+        flat = np.ravel_multi_index(cells[inside].T, shape)
+        point, w = point[inside], weights[row[inside]]
+        np.add.at(rcs.reshape(-1), flat, w * rcs_in[block][point])
+        np.add.at(vel.reshape(-1), flat, w * vel_in[block][point])
+    count = np.zeros(shape, dtype=np.int64)
+    np.add.at(count, (ix[mask], iy[mask], iz[mask]), 1)
+    return VoxelGrid(spec, rcs, vel, count, out_of_range=int(np.count_nonzero(~mask)))
 
 
 def voxelize(cloud: PointCloud, spec: GridSpec) -> VoxelGrid:
@@ -183,24 +220,7 @@ def voxelize(cloud: PointCloud, spec: GridSpec) -> VoxelGrid:
     Out-of-range points are skipped; their number is reported on the
     returned grid's ``out_of_range`` field.
     """
-    if len(cloud) == 0:
-        return empty_grid(spec)
-    mask, ix, iy, iz = voxel_indices(spec, cloud.xyz)
-    idx = (ix[mask], iy[mask], iz[mask])
-    shape = spec.cells
-    rcs = np.zeros(shape)
-    vel = np.zeros(shape)
-    count = np.zeros(shape, dtype=np.int64)
-    np.add.at(rcs, idx, cloud.rcs[mask])
-    np.add.at(vel, idx, cloud.v[mask])
-    np.add.at(count, idx, 1)
-    return VoxelGrid(
-        spec=spec,
-        rcs=rcs,
-        vel=vel,
-        count=count,
-        out_of_range=int(np.count_nonzero(~mask)),
-    )
+    return _deposit(spec, cloud, [np.ones((1, 1, 1))], np.zeros(len(cloud), dtype=np.intp))
 
 
 def expand(
@@ -217,58 +237,24 @@ def expand(
     """
     params_per_point = list(params_per_point)
     if len(params_per_point) != len(cloud):
-        raise ValueError(
-            f"{len(params_per_point)} kernel params for {len(cloud)} points"
-        )
-    nx, ny, nz = spec.cells
-    rcs = np.zeros(spec.cells)
-    vel = np.zeros(spec.cells)
-    count = np.zeros(spec.cells, dtype=np.int64)
+        raise ValueError(f"{len(params_per_point)} kernel params for {len(cloud)} points")
     if len(cloud) == 0:
         return empty_grid(spec)
-    mask, ixs, iys, izs = voxel_indices(spec, cloud.xyz)
-    kernel_cache: dict[tuple[int, float], np.ndarray] = {}
-    for i in range(len(cloud)):
-        if not mask[i]:
-            continue
-        params = params_per_point[i]
-        key = (params.lambda_p, params.sigma)
-        kernel = kernel_cache.get(key)
-        if kernel is None:
-            kernel = build_kernel(params, exponent_mode)
-            kernel_cache[key] = kernel
-        half = (params.lambda_p - 1) // 2
-        ix, iy, iz = int(ixs[i]), int(iys[i]), int(izs[i])
-        gx0, gx1 = max(ix - half, 0), min(ix + half, nx - 1)
-        gy0, gy1 = max(iy - half, 0), min(iy + half, ny - 1)
-        gz0, gz1 = max(iz - half, 0), min(iz + half, nz - 1)
-        kx0, ky0, kz0 = gx0 - (ix - half), gy0 - (iy - half), gz0 - (iz - half)
-        window = kernel[
-            kx0 : kx0 + (gx1 - gx0 + 1),
-            ky0 : ky0 + (gy1 - gy0 + 1),
-            kz0 : kz0 + (gz1 - gz0 + 1),
-        ]
-        rcs[gx0 : gx1 + 1, gy0 : gy1 + 1, gz0 : gz1 + 1] += window * cloud.rcs[i]
-        vel[gx0 : gx1 + 1, gy0 : gy1 + 1, gz0 : gz1 + 1] += window * cloud.v[i]
-        count[ix, iy, iz] += 1
-    return VoxelGrid(
-        spec=spec,
-        rcs=rcs,
-        vel=vel,
-        count=count,
-        out_of_range=int(np.count_nonzero(~mask)),
-    )
+    index: dict[KernelParams, int] = {}
+    which = np.array([index.setdefault(p, len(index)) for p in params_per_point])
+    kernels = [build_kernel(p, exponent_mode) for p in index]
+    return _deposit(spec, cloud, kernels, which)
 
 
 def merge_residual(original: VoxelGrid, expanded: VoxelGrid) -> VoxelGrid:
-    """Res-block combination: summed RCS/velocity, counts from the original."""
+    """Res-block combination: summed RCS/velocity, the original's read-only counts."""
     if original.spec != expanded.spec:
         raise ValueError("cannot merge grids with different specs")
     return VoxelGrid(
         spec=original.spec,
         rcs=original.rcs + expanded.rcs,
         vel=original.vel + expanded.vel,
-        count=original.count.copy(),
+        count=original.count,
         out_of_range=original.out_of_range,
     )
 

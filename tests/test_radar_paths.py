@@ -1,0 +1,339 @@
+"""Radar-path tests: the shared deposit routine against a per-point loop
+oracle, one voxelization per cloud per sweep task, bounded Chamfer memory,
+and grid indexing of extreme or out-of-grid coordinates.
+"""
+
+import dataclasses
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rcbench.bench as bench
+import rcbench.expansion as expansion
+from rcbench.bench import (
+    KIND_IDS,
+    PIPELINES,
+    BenchRow,
+    SceneConfig,
+    SweepConfig,
+    SweepEntry,
+    gen_scene,
+    metric_chamfer,
+    metric_peak,
+    metric_snr,
+    pipeline_bev,
+    run_sweep,
+)
+from rcbench.core import (
+    GridSpec,
+    PointCloud,
+    Rng,
+    default_grid,
+    derive64,
+    float_bits,
+    voxel_index,
+    voxel_indices,
+)
+from rcbench.corruption import CorruptionKind, apply_corruption
+from rcbench.expansion import (
+    EXPONENT_MODES,
+    KernelParams,
+    ProjectorWeights,
+    build_kernel,
+    expand,
+    heuristic_kernel_params,
+    kernel_params_for_cloud,
+    save_projector_weights,
+    voxelize,
+)
+
+
+def small_grid(n=8):
+    return GridSpec(x_range=(0.0, 8.0), y_range=(0.0, 8.0), z_range=(0.0, 8.0), cells=(n, n, n))
+
+
+def loop_expand(cloud, spec, params_per_point, exponent_mode):
+    """Per-point reference: add each clipped kernel window to the grid in turn."""
+    nx, ny, nz = spec.cells
+    rcs = np.zeros(spec.cells)
+    vel = np.zeros(spec.cells)
+    count = np.zeros(spec.cells, dtype=np.int64)
+    mask, ixs, iys, izs = voxel_indices(spec, cloud.xyz)
+    for i, params in enumerate(params_per_point):
+        if not mask[i]:
+            continue
+        kernel = build_kernel(params, exponent_mode)
+        half = (params.lambda_p - 1) // 2
+        ix, iy, iz = int(ixs[i]), int(iys[i]), int(izs[i])
+        gx0, gx1 = max(ix - half, 0), min(ix + half, nx - 1)
+        gy0, gy1 = max(iy - half, 0), min(iy + half, ny - 1)
+        gz0, gz1 = max(iz - half, 0), min(iz + half, nz - 1)
+        kx0, ky0, kz0 = gx0 - (ix - half), gy0 - (iy - half), gz0 - (iz - half)
+        window = kernel[
+            kx0 : kx0 + (gx1 - gx0 + 1),
+            ky0 : ky0 + (gy1 - gy0 + 1),
+            kz0 : kz0 + (gz1 - gz0 + 1),
+        ]
+        rcs[gx0 : gx1 + 1, gy0 : gy1 + 1, gz0 : gz1 + 1] += window * cloud.rcs[i]
+        vel[gx0 : gx1 + 1, gy0 : gy1 + 1, gz0 : gz1 + 1] += window * cloud.v[i]
+        count[ix, iy, iz] += 1
+    return rcs, vel, count, int(np.count_nonzero(~mask))
+
+
+def border_cloud(seed, n=400):
+    """Points near every face and corner of small_grid(), some outside it."""
+    gen = np.random.default_rng(seed)
+    near = gen.choice([0.3, 1.7, 6.3, 7.7, 8.0, 0.0], size=(n, 3))
+    jitter = gen.uniform(-0.25, 0.25, size=(n, 3))
+    xyz = np.where(gen.random((n, 3)) < 0.5, near + jitter, gen.uniform(-1.0, 9.0, (n, 3)))
+    return PointCloud(data=np.column_stack([xyz, gen.uniform(-5, 20, (n, 2))]))
+
+
+def mixed_params(seed, n):
+    gen = np.random.default_rng(seed)
+    lams = gen.choice([1, 3, 5], size=n)
+    sigmas = gen.choice([0.4, 1.0, 1.0 / 3.0, 2.5], size=n)
+    return [KernelParams(int(lam), float(sig)) for lam, sig in zip(lams, sigmas)]
+
+
+def learned_weights(seed):
+    gen = np.random.default_rng(seed)
+    return ProjectorWeights(
+        w1=gen.normal(size=(8, 2)),
+        b1=gen.normal(size=8),
+        w2=gen.normal(size=(4, 8)),
+        b2=gen.normal(size=4),
+    )
+
+
+class TestDepositOracle:
+    @pytest.mark.parametrize("mode", EXPONENT_MODES)
+    @pytest.mark.parametrize("source", ["mixed", "heuristic", "learned"])
+    def test_expand_equals_loop(self, mode, source):
+        cloud = border_cloud(31)
+        params = {
+            "mixed": lambda: mixed_params(32, len(cloud)),
+            "heuristic": lambda: kernel_params_for_cloud(cloud),
+            "learned": lambda: kernel_params_for_cloud(cloud, learned_weights(33)),
+        }[source]()
+        assert len({p.lambda_p for p in params}) > 1
+        grid = expand(cloud, small_grid(), params, mode)
+        rcs, vel, count, out = loop_expand(cloud, small_grid(), params, mode)
+        assert out > 0
+        assert np.array_equal(grid.rcs, rcs)
+        assert np.array_equal(grid.vel, vel)
+        assert np.array_equal(grid.count, count)
+        assert grid.out_of_range == out
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_block_size_does_not_change_the_sums(self, monkeypatch, block):
+        cloud = border_cloud(34, n=150)
+        params = mixed_params(35, len(cloud))
+        whole = expand(cloud, small_grid(), params, EXPONENT_MODES[1])
+        monkeypatch.setattr(expansion, "DEPOSIT_BLOCK_POINTS", block)
+        blocked = expand(cloud, small_grid(), params, EXPONENT_MODES[1])
+        assert np.array_equal(whole.rcs, blocked.rcs)
+        assert np.array_equal(whole.vel, blocked.vel)
+        vox = voxelize(cloud, small_grid())
+        assert np.array_equal(vox.count, blocked.count)
+
+    def test_heuristic_select_matches_if_chain(self):
+        gen = np.random.default_rng(36)
+        # Few distinct values, so many points sit exactly on a quartile.
+        data = np.zeros((101, 5))
+        data[:, 3] = gen.integers(0, 5, 101)
+        cloud = PointCloud(data=data)
+        q25, q75 = np.percentile(cloud.rcs, [25.0, 75.0])
+        expected = [5 if r < q25 else 3 if r < q75 else 1 for r in cloud.rcs]
+        got = heuristic_kernel_params(cloud)
+        assert [p.lambda_p for p in got] == expected
+        assert all(p.sigma == p.lambda_p / 3.0 for p in got)
+
+
+def multi_config(**overrides):
+    kwargs = dict(
+        scene=SceneConfig(),
+        corruptions=(
+            SweepEntry(kind=CorruptionKind.SPURIOUS_POINTS, levels=(5.0,)),
+            SweepEntry(kind=CorruptionKind.POINT_SHIFTING, levels=(2.0,)),
+        ),
+        pipelines=("3dge_isotropic", "raw", "3dge_planar"),
+        replicates=2,
+        master_seed=91,
+    )
+    kwargs.update(overrides)
+    return SweepConfig(**kwargs)
+
+
+def per_row_sweep(cfg, weights=None):
+    """Each row recomputed on its own through pipeline_bev, three BEVs per row."""
+    rows, maps = [], {}
+    for entry in cfg.corruptions:
+        for level in entry.levels:
+            for replicate in range(cfg.replicates):
+                seed = derive64(cfg.master_seed, KIND_IDS[entry.kind], float_bits(level), replicate)
+                scene = gen_scene(cfg.scene, cfg.grid, Rng(seed))
+                spec = entry.spec_for(level, seed=derive64(seed, 1))
+                for pipeline in cfg.pipelines:
+                    key = dict(kind=entry.kind.value, level=level, replicate=replicate, pipeline=pipeline)
+                    try:
+                        corrupted = apply_corruption(
+                            scene.cloud, spec, boxes=scene.boxes, bounds=cfg.grid,
+                            total_beams=cfg.total_beams,
+                        )
+                        raw = pipeline_bev(corrupted, cfg.grid, "raw")
+                        before = metric_snr(raw, scene.boxes, cfg.grid)
+                        clean = pipeline_bev(scene.cloud, cfg.grid, pipeline, weights)
+                        processed = pipeline_bev(corrupted, cfg.grid, pipeline, weights)
+                        after = (
+                            before if pipeline == "raw"
+                            else metric_snr(processed, scene.boxes, cfg.grid)
+                        )
+                        consistent, l2 = metric_peak(clean, processed)
+                        chamfer = metric_chamfer(scene.cloud, corrupted)
+                    except Exception as exc:
+                        rows.append(BenchRow(**key, error=f"{type(exc).__name__}: {exc}"))
+                        continue
+                    rows.append(
+                        BenchRow(
+                            **key, snr_before=before, snr_after=after,
+                            peak_consistent=consistent, peak_l2_cells=l2, chamfer_m=chamfer,
+                            points_in=len(scene.cloud), points_out=len(corrupted),
+                        )
+                    )
+                    tag = f"{entry.kind.value}_l{level:g}_r{replicate}_{pipeline}"
+                    maps[f"bev_{tag}"] = processed
+                    maps[f"bev_clean_{tag}"] = clean
+    return rows, maps
+
+
+def assert_sweep_matches_per_row(cfg, weights=None):
+    rows, maps = run_sweep(cfg, want_heatmaps=True)
+    expected_rows, expected_maps = per_row_sweep(cfg, weights)
+    assert [dataclasses.replace(r, wall_ms=None) for r in rows] == expected_rows
+    assert maps.keys() == expected_maps.keys()
+    for name, bev in maps.items():
+        assert np.array_equal(bev, expected_maps[name]), name
+    return rows
+
+
+class TestOneVoxelizationPerCloud:
+    def test_sweep_equals_per_row_pipelines(self):
+        rows = assert_sweep_matches_per_row(multi_config())
+        assert len(rows) == 12 and all(r.error is None for r in rows)
+        for task in range(4):
+            walls = {r.wall_ms for r in rows[3 * task : 3 * task + 3]}
+            assert len(walls) == 1
+
+    def test_error_rows_equal_per_row_errors(self):
+        cfg = multi_config(
+            scene=SceneConfig(cluster_count=0),
+            corruptions=(
+                SweepEntry(kind=CorruptionKind.SPURIOUS_POINTS, levels=(5.0,)),
+                SweepEntry(kind=CorruptionKind.KEY_POINT_MISSING, levels=(1.0, 500.0)),
+                SweepEntry(kind=CorruptionKind.BEAM_DROP, levels=(32,)),
+            ),
+        )
+        rows = assert_sweep_matches_per_row(cfg)
+        errors = {r.error for r in rows}
+        assert None not in errors and len(errors) >= 2
+
+    def test_learned_projector_equals_per_row(self, tmp_path):
+        weights = learned_weights(37)
+        path = tmp_path / "weights.json"
+        save_projector_weights(weights, path)
+        cfg = multi_config(projector="weights-file", projector_weights=str(path), replicates=1)
+        assert_sweep_matches_per_row(cfg, weights)
+
+    def test_each_cloud_voxelized_once_and_chamfer_once_per_task(self, monkeypatch):
+        calls = {"voxelize": 0, "metric_chamfer": 0}
+        for name in calls:
+            original = getattr(bench, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(bench, name, counted)
+        cfg = multi_config()
+        tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
+        run_sweep(cfg)
+        assert calls == {"voxelize": 2 * tasks, "metric_chamfer": tasks}
+
+
+class TestChamferBlocks:
+    @staticmethod
+    def one_shot(a, b):
+        diff = a.xyz[:, None, :] - b.xyz[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        return float(0.5 * (dist.min(axis=1).mean() + dist.min(axis=0).mean()))
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1 << 18])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 9), (9, 1), (37, 41), (300, 310)])
+    def test_blocked_equals_one_shot(self, monkeypatch, block, n, m):
+        gen = np.random.default_rng(n * 1000 + m)
+        a = PointCloud(data=gen.normal(scale=20.0, size=(n, 5)))
+        b = PointCloud(data=gen.normal(scale=20.0, size=(m, 5)))
+        monkeypatch.setattr(bench, "CHAMFER_BLOCK", block)
+        assert metric_chamfer(a, b) == self.one_shot(a, b)
+
+    def test_peak_memory_bounded_at_2000_by_2000(self):
+        gen = np.random.default_rng(38)
+        a = PointCloud(data=gen.normal(size=(2000, 5)))
+        b = PointCloud(data=gen.normal(size=(2000, 5)))
+        tracemalloc.start()
+        try:
+            metric_chamfer(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+extreme = st.one_of(
+    st.floats(min_value=1e300, max_value=1.7976931348623157e308),
+    st.floats(min_value=-1.7976931348623157e308, max_value=-1e300),
+)
+
+
+class TestGridEdges:
+    @given(coord=extreme, axis=st.integers(0, 2), inside=st.floats(-2.0, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_finite_coordinates_masked_without_warning(self, coord, axis, inside):
+        spec = default_grid()
+        xyz = np.full((2, 3), inside)
+        xyz[0, axis] = coord
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask, ix, iy, iz = voxel_indices(spec, xyz)
+            assert voxel_index(spec, tuple(xyz[0])) is None
+            assert voxel_index(spec, tuple(xyz[1])) == (ix[1], iy[1], iz[1])
+        assert mask.tolist() == [False, True]
+
+    @given(
+        coords=st.lists(
+            st.tuples(
+                st.one_of(extreme, st.floats(60.0, 1e6), st.floats(-1e6, -60.0)),
+                st.floats(-40.0, 40.0),
+                st.floats(-4.0, 2.0),
+            ),
+            max_size=12,
+        ),
+        mode=st.sampled_from(["heuristic", "learned"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_empty_and_outside_clouds_run_every_pipeline(self, coords, mode):
+        spec = default_grid()
+        data = np.array([[x, y, z, 1.0, 0.5] for x, y, z in coords]).reshape(-1, 5)
+        cloud = PointCloud(data=data)
+        weights = learned_weights(39) if mode == "learned" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert voxelize(cloud, spec).out_of_range == len(cloud)
+            for pipeline in PIPELINES:
+                bev = pipeline_bev(cloud, spec, pipeline, weights)
+                assert bev.shape == spec.cells[:2] and not bev.any()
