@@ -14,7 +14,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 
 import numpy as np
 
@@ -27,14 +28,18 @@ from .core import (
     default_grid,
     derive64,
     float_bits,
+    is_int,
+    is_real,
 )
 from .corruption import (
     DEFAULT_BEAM_COUNT,
     DEFAULT_SPURIOUS_RATIO,
+    SIGMA_KINDS,
     CorruptionKind,
     CorruptionSpec,
     SpuriousMode,
     apply_corruption,
+    spec_for_level,
 )
 from .expansion import (
     ISOTROPIC_3D,
@@ -81,15 +86,15 @@ KIND_IDS = {
     CorruptionKind.BEAM_DROP: 5,
 }
 
-_SIGMA_KINDS = (
-    CorruptionKind.SPURIOUS_POINTS,
-    CorruptionKind.POINT_SHIFTING,
-    CorruptionKind.NON_POSITIONAL_DISTURBANCE,
-)
-
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent sweep configuration."""
+
+
+def _reals(values, n: int, name: str) -> tuple[float, ...]:
+    if len(values) != n or not all(is_real(v) for v in values):
+        raise ConfigError(f"{name} must be {n} finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -107,16 +112,19 @@ class SceneConfig:
     cluster_centers: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.cluster_count < 0 or self.points_per_cluster < 0 or self.noise_points < 0:
-            raise ConfigError("scene counts must be non-negative")
-        if self.cluster_radius_m <= 0 or self.box_height_m <= 0:
-            raise ConfigError("cluster radius and box height must be positive")
+        for name in ("cluster_count", "points_per_cluster", "noise_points"):
+            if not is_int(getattr(self, name)) or getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be a non-negative integer")
+        for name in ("cluster_radius_m", "box_height_m"):
+            if not is_real(getattr(self, name)) or getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive and finite")
         for name in ("target_rcs_range", "noise_rcs_range", "doppler_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = _reals(getattr(self, name), 2, name)
             if not hi >= lo:
                 raise ConfigError(f"{name} must be ordered, got ({lo}, {hi})")
+            object.__setattr__(self, name, (lo, hi))
         if self.cluster_centers is not None:
-            centers = tuple(tuple(float(c) for c in ctr) for ctr in self.cluster_centers)
+            centers = tuple(_reals(c, 3, "a cluster center") for c in self.cluster_centers)
             if len(centers) != self.cluster_count:
                 raise ConfigError("cluster_centers length must equal cluster_count")
             object.__setattr__(self, "cluster_centers", centers)
@@ -135,32 +143,22 @@ class SweepEntry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", CorruptionKind(self.kind))
         object.__setattr__(self, "mode", SpuriousMode(self.mode))
+        # float() takes strings and bools, and would read "35" as the levels 3 and 5.
+        if any(isinstance(lv, (str, bool)) for lv in self.levels):
+            raise ConfigError(f"{self.kind.value} levels must be a list of numbers")
         levels = tuple(float(lv) for lv in self.levels)
         if not levels:
             raise ConfigError(f"empty level list for {self.kind.value}")
-        if self.kind in (CorruptionKind.BEAM_DROP, CorruptionKind.KEY_POINT_MISSING):
-            for lv in levels:
-                if lv != int(lv) or lv < 0:
-                    raise ConfigError(
-                        f"{self.kind.value} levels must be non-negative integers"
-                    )
-        else:
-            for lv in levels:
-                if not lv > 0:
-                    raise ConfigError(f"{self.kind.value} levels must be positive")
         object.__setattr__(self, "levels", levels)
+        try:
+            for level in levels:
+                self.spec_for(level, seed=0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def spec_for(self, level: float, seed: int) -> CorruptionSpec:
-        if self.kind in _SIGMA_KINDS:
-            return CorruptionSpec(
-                kind=self.kind,
-                seed=seed,
-                mode=self.mode,
-                sigma=level,
-                spurious_ratio=self.spurious_ratio,
-            )
-        return CorruptionSpec(
-            kind=self.kind, seed=seed, gamma=self.gamma, drop_count=int(level)
+        return spec_for_level(
+            self.kind, level, seed, self.mode, self.spurious_ratio, self.gamma
         )
 
 
@@ -186,14 +184,29 @@ class SweepConfig:
         for pipeline in self.pipelines:
             if pipeline not in PIPELINES:
                 raise ConfigError(f"unknown pipeline {pipeline!r}")
+        if len(set(self.pipelines)) != len(self.pipelines):
+            raise ConfigError(f"duplicate pipeline in {list(self.pipelines)}")
         if self.projector not in PROJECTOR_MODES:
             raise ConfigError(f"unknown projector mode {self.projector!r}")
-        if self.projector == "weights-file" and not self.projector_weights:
+        if self.projector == "weights-file" and not (
+            isinstance(self.projector_weights, str) and self.projector_weights
+        ):
             raise ConfigError("projector mode 'weights-file' requires a weights path")
-        if self.replicates < 1:
-            raise ConfigError("replicate count must be >= 1")
-        if self.total_beams < 1:
-            raise ConfigError("total_beams must be positive")
+        if not is_int(self.replicates) or self.replicates < 1:
+            raise ConfigError("replicates must be a positive integer")
+        if not is_int(self.total_beams) or self.total_beams < 1:
+            raise ConfigError("total_beams must be a positive integer")
+        if not is_int(self.master_seed) or not 0 <= self.master_seed < 1 << 64:
+            raise ConfigError("master_seed must be an integer in [0, 2**64)")
+        # Heatmap names carry the level as {level:g}, so two levels that
+        # print alike there are one pair too.
+        seen = set()
+        for entry in self.corruptions:
+            for level in entry.levels:
+                pair = (entry.kind.value, f"{level:g}")
+                if pair in seen:
+                    raise ConfigError(f"duplicate (kind, level) pair {pair}")
+                seen.add(pair)
 
 
 def default_sweep_config() -> SweepConfig:
@@ -208,124 +221,56 @@ def default_sweep_config() -> SweepConfig:
     )
 
 
-_SCENE_KEYS = {
-    "cluster_count",
-    "points_per_cluster",
-    "cluster_radius_m",
-    "noise_points",
-    "target_rcs_range",
-    "noise_rcs_range",
-    "doppler_range",
-    "box_height_m",
-    "cluster_centers",
-}
-_GRID_KEYS = {"x_range", "y_range", "z_range", "cells"}
-_ENTRY_KEYS = {"kind", "levels", "mode", "spurious_ratio", "gamma"}
-_CONFIG_KEYS = {
-    "scene",
-    "grid",
-    "corruptions",
-    "pipelines",
-    "projector",
-    "projector_weights",
-    "replicates",
-    "master_seed",
-    "total_beams",
-}
-
-
-def _check_keys(payload: dict, allowed: set, context: str) -> None:
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
-
-
 def _tupled(value):
     if isinstance(value, list):
         return tuple(_tupled(v) for v in value)
     return value
 
 
-def sweep_config_from_json_dict(payload: dict) -> SweepConfig:
+def _from_json(cls, payload, context: str, **built):
+    """``cls(**payload)`` with JSON arrays as tuples; ``built`` holds nested objects."""
     if not isinstance(payload, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(payload, _CONFIG_KEYS, "config")
-    kwargs: dict = {}
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = set(payload) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
+    return cls(**{**{k: _tupled(v) for k, v in payload.items()}, **built})
+
+
+def sweep_config_from_json_dict(payload: dict) -> SweepConfig:
+    """Parse a sweep config; its keys are the fields of the config dataclasses."""
     try:
-        if "scene" in payload:
-            _check_keys(payload["scene"], _SCENE_KEYS, "scene")
-            kwargs["scene"] = SceneConfig(
-                **{k: _tupled(v) for k, v in payload["scene"].items()}
-            )
-        if "grid" in payload:
-            _check_keys(payload["grid"], _GRID_KEYS, "grid")
-            kwargs["grid"] = GridSpec(**{k: _tupled(v) for k, v in payload["grid"].items()})
-        entries = []
-        for entry in payload.get("corruptions", ()):
-            _check_keys(entry, _ENTRY_KEYS, "corruption entry")
-            entries.append(SweepEntry(**{k: _tupled(v) for k, v in entry.items()}))
-        if entries:
-            kwargs["corruptions"] = tuple(entries)
-        else:
-            kwargs["corruptions"] = default_sweep_config().corruptions
-        for key in (
-            "pipelines",
-            "projector",
-            "projector_weights",
-            "replicates",
-            "master_seed",
-            "total_beams",
-        ):
-            if key in payload:
-                kwargs[key] = _tupled(payload[key])
-        return SweepConfig(**kwargs)
+        if not isinstance(payload, dict):
+            raise ConfigError("config root must be a JSON object")
+        built = {
+            name: _from_json(cls, payload[name], name)
+            for name, cls in (("scene", SceneConfig), ("grid", GridSpec))
+            if name in payload
+        }
+        entries = tuple(
+            _from_json(SweepEntry, entry, "corruption entry")
+            for entry in payload.get("corruptions", ())
+        )
+        built["corruptions"] = entries or default_sweep_config().corruptions
+        return _from_json(SweepConfig, payload, "config", **built)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc
 
 
+def _jsonable(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
+
+
 def sweep_config_to_json_dict(cfg: SweepConfig) -> dict:
-    scene = cfg.scene
-    return {
-        "scene": {
-            "cluster_count": scene.cluster_count,
-            "points_per_cluster": scene.points_per_cluster,
-            "cluster_radius_m": scene.cluster_radius_m,
-            "noise_points": scene.noise_points,
-            "target_rcs_range": list(scene.target_rcs_range),
-            "noise_rcs_range": list(scene.noise_rcs_range),
-            "doppler_range": list(scene.doppler_range),
-            "box_height_m": scene.box_height_m,
-            "cluster_centers": (
-                None
-                if scene.cluster_centers is None
-                else [list(c) for c in scene.cluster_centers]
-            ),
-        },
-        "grid": {
-            "x_range": list(cfg.grid.x_range),
-            "y_range": list(cfg.grid.y_range),
-            "z_range": list(cfg.grid.z_range),
-            "cells": list(cfg.grid.cells),
-        },
-        "corruptions": [
-            {
-                "kind": entry.kind.value,
-                "levels": list(entry.levels),
-                "mode": entry.mode.value,
-                "spurious_ratio": entry.spurious_ratio,
-                "gamma": entry.gamma,
-            }
-            for entry in cfg.corruptions
-        ],
-        "pipelines": list(cfg.pipelines),
-        "projector": cfg.projector,
-        "projector_weights": cfg.projector_weights,
-        "replicates": cfg.replicates,
-        "master_seed": cfg.master_seed,
-        "total_beams": cfg.total_beams,
-    }
+    return _jsonable(asdict(cfg))
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -735,10 +680,10 @@ def gen_manifest(
             rows.append(ManifestRow(scene_id, "clean", None, None, seed))
             continue
         kind = kinds[int(gen.integers(0, len(kinds)))]
-        if kind is CorruptionKind.KEY_POINT_MISSING:
-            level = float(gen.integers(1, total_beams // 2 + 1))
-        else:
+        if kind in SIGMA_KINDS:
             level = float(gen.uniform(1.0, 50.0))
+        else:
+            level = float(gen.integers(1, total_beams // 2 + 1))
         rows.append(ManifestRow(scene_id, "noisy", kind.value, level, seed))
     return rows
 

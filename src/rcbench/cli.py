@@ -30,7 +30,7 @@ from .core import (
     write_boxes_csv,
     write_point_cloud_csv,
 )
-from .corruption import CorruptionKind, CorruptionSpec, apply_corruption
+from .corruption import CorruptionKind, apply_corruption, spec_for_level
 
 KIND_ALIASES = {
     "c1": CorruptionKind.SPURIOUS_POINTS,
@@ -89,19 +89,12 @@ def _cmd_corrupt(args) -> int:
             f"{sorted(KIND_ALIASES)}"
         )
     kind = KIND_ALIASES[kind_key]
-    if kind in (CorruptionKind.BEAM_DROP, CorruptionKind.KEY_POINT_MISSING):
-        if args.level != int(args.level) or args.level < 0:
-            raise ConfigError(f"{kind.value} level must be a non-negative integer")
-        spec = CorruptionSpec(kind=kind, seed=args.seed, drop_count=int(args.level))
-    else:
-        if not args.level > 0:
-            raise ConfigError(f"{kind.value} level must be positive")
-        spec = CorruptionSpec(kind=kind, seed=args.seed, sigma=args.level)
     cloud = read_point_cloud_csv(args.in_path)
     try:
+        spec = spec_for_level(kind, args.level, args.seed)
         corrupted = apply_corruption(cloud, spec, bounds=default_grid())
     except ValueError as exc:
-        # The level is infeasible for this cloud, e.g. more points than it holds.
+        # A bad level, or one this cloud cannot take, e.g. more points than it holds.
         raise ConfigError(str(exc)) from exc
     write_point_cloud_csv(corrupted, args.out)
     print(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,20 @@ def derive64(*parts: int) -> int:
     for part in parts:
         h = splitmix64(h ^ (int(part) & _MASK64))
     return h
+
+
+def is_int(value) -> bool:
+    """True for an integer that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def float_bits(value: float) -> int:
@@ -197,13 +212,12 @@ class GridSpec:
     def __post_init__(self) -> None:
         for name in ("x_range", "y_range", "z_range"):
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            if not (is_real(lo) and is_real(hi) and hi > lo):
                 raise ValueError(f"{name} must satisfy max > min, got ({lo}, {hi})")
             object.__setattr__(self, name, (float(lo), float(hi)))
-        cells = tuple(int(c) for c in self.cells)
-        if len(cells) != 3 or any(c <= 0 for c in cells):
-            raise ValueError(f"cell counts must be positive, got {self.cells}")
-        object.__setattr__(self, "cells", cells)
+        if len(self.cells) != 3 or not all(is_int(c) and c > 0 for c in self.cells):
+            raise ValueError(f"cell counts must be three positive integers, got {self.cells}")
+        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
 
     @property
     def ranges(self) -> tuple[tuple[float, float], ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -40,6 +40,17 @@ class CorruptionKind(str, Enum):
 class SpuriousMode(str, Enum):
     POINT_RELATED = "PointRelated"
     RANDOM = "Random"
+
+
+# Kinds whose severity level is a noise sigma; the others take an integer
+# count (beams for BeamDrop, points for KeyPointMissing).
+SIGMA_KINDS = frozenset(
+    {
+        CorruptionKind.SPURIOUS_POINTS,
+        CorruptionKind.POINT_SHIFTING,
+        CorruptionKind.NON_POSITIONAL_DISTURBANCE,
+    }
+)
 
 
 def sample_sigma(rng: Rng) -> float:
@@ -186,17 +197,6 @@ def beam_drop(
     return cloud.with_data(cloud.data[keep])
 
 
-_SPEC_FIELDS = (
-    "kind",
-    "gamma",
-    "mode",
-    "sigma",
-    "drop_count",
-    "spurious_ratio",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class CorruptionSpec:
     """Declarative corruption configuration.
@@ -218,6 +218,8 @@ class CorruptionSpec:
         object.__setattr__(self, "mode", SpuriousMode(self.mode))
         if self.gamma not in (0, 1):
             raise ValueError(f"gamma must be 0 or 1, got {self.gamma}")
+        if not 0.0 < self.spurious_ratio <= 1.0:
+            raise ValueError(f"spurious_ratio must lie in (0, 1], got {self.spurious_ratio}")
         if self.sigma is not None and not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.drop_count < 0:
@@ -242,7 +244,7 @@ class CorruptionSpec:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CorruptionSpec":
-        unknown = set(payload) - set(_SPEC_FIELDS)
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown CorruptionSpec fields: {sorted(unknown)}")
         if "kind" not in payload:
@@ -261,6 +263,33 @@ class CorruptionSpec:
         return cls.from_json_dict(payload)
 
 
+def spec_for_level(
+    kind: CorruptionKind,
+    level: float,
+    seed: int,
+    mode: SpuriousMode = SpuriousMode.POINT_RELATED,
+    spurious_ratio: float = DEFAULT_SPURIOUS_RATIO,
+    gamma: int = 0,
+) -> CorruptionSpec:
+    """The spec for one severity level of a kind.
+
+    The level is the sigma of a SIGMA_KINDS kind, which must be positive
+    and finite, and otherwise a count, which must be a non-negative
+    integer; anything else raises ValueError. A sigma kind's spec takes
+    ``mode`` and ``spurious_ratio``, a count kind's takes ``gamma``.
+    """
+    kind = CorruptionKind(kind)
+    if kind in SIGMA_KINDS:
+        if not (level > 0 and math.isfinite(level)):
+            raise ValueError(f"{kind.value} levels must be positive and finite, got {level}")
+        return CorruptionSpec(
+            kind=kind, seed=seed, mode=mode, sigma=level, spurious_ratio=spurious_ratio
+        )
+    if not (math.isfinite(level) and level >= 0 and level == int(level)):
+        raise ValueError(f"{kind.value} levels must be non-negative integers, got {level}")
+    return CorruptionSpec(kind=kind, seed=seed, gamma=gamma, drop_count=int(level))
+
+
 def apply_corruption(
     cloud: PointCloud,
     spec: CorruptionSpec,
@@ -275,11 +304,7 @@ def apply_corruption(
     """
     rng = Rng(spec.seed, stream=0)
     sigma = spec.sigma
-    if sigma is None and spec.kind in (
-        CorruptionKind.SPURIOUS_POINTS,
-        CorruptionKind.POINT_SHIFTING,
-        CorruptionKind.NON_POSITIONAL_DISTURBANCE,
-    ):
+    if sigma is None and spec.kind in SIGMA_KINDS:
         sigma = sample_sigma(rng.substream(1))
     if spec.kind is CorruptionKind.KEY_POINT_MISSING:
         return key_point_missing(cloud, boxes, spec.gamma, spec.drop_count, rng)

@@ -1,0 +1,240 @@
+"""Sweep-config schema: load-time checks, distinct rows, JSON round trips."""
+
+import json
+import math
+import re
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rcbench.bench import (
+    PIPELINES,
+    SceneConfig,
+    SweepConfig,
+    SweepEntry,
+    default_sweep_config,
+    sweep_config_from_json_dict,
+    sweep_config_to_json_dict,
+)
+from rcbench.cli import main
+from rcbench.core import GridSpec
+from rcbench.corruption import SIGMA_KINDS, CorruptionKind, CorruptionSpec, SpuriousMode
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+BASE = {
+    "corruptions": [{"kind": "PointShifting", "levels": [1]}],
+    "pipelines": ["raw"],
+    "replicates": 1,
+}
+GRID = {"x_range": [-51.2, 51.2], "y_range": [-51.2, 51.2], "z_range": [-5, 3]}
+
+
+def run_config(tmp_path, capsys, overrides):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE, **overrides}))
+    code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+BAD_VALUES = {
+    # Exit 2 at run time before these were checked at load.
+    "replicates-float": {"replicates": 2.5},
+    "cluster-count-float": {"scene": {"cluster_count": 1.5}},
+    "points-per-cluster-float": {"scene": {"points_per_cluster": 2.5}},
+    "keypoint-gamma-2": {
+        "corruptions": [{"kind": "KeyPointMissing", "levels": [1], "gamma": 2}]
+    },
+    "master-seed-string": {"master_seed": "x"},
+    "rcs-range-string": {"scene": {"target_rcs_range": "ab"}},
+    "center-of-two": {"scene": {"cluster_centers": [[1, 2]]}},
+    "box-height-nan": {"scene": {"box_height_m": math.nan}},
+    "cluster-radius-inf": {"scene": {"cluster_radius_m": math.inf}},
+    # Ran silently wrong.
+    "levels-string": {"corruptions": [{"kind": "PointShifting", "levels": "35"}]},
+    "replicates-true": {"replicates": True},
+    "master-seed-negative": {"master_seed": -1},
+    "master-seed-float": {"master_seed": 1.5},
+    "cells-float": {"grid": {**GRID, "cells": [128.7, 128, 8]}},
+    # Gave nothing but error rows.
+    "total-beams-float": {
+        "corruptions": [{"kind": "BeamDrop", "levels": [1]}],
+        "total_beams": 2.5,
+    },
+    "spurious-ratio-2": {
+        "corruptions": [{"kind": "SpuriousPoints", "levels": [1], "spurious_ratio": 2}]
+    },
+    "spurious-level-inf": {"corruptions": [{"kind": "SpuriousPoints", "levels": [math.inf]}]},
+}
+
+
+@pytest.mark.parametrize("overrides", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_value_is_config_error(tmp_path, capsys, overrides):
+    code, err = run_config(tmp_path, capsys, overrides)
+    assert code == 1
+    assert "config error" in err
+
+
+DUPLICATES = {
+    "within-entry": (
+        {"corruptions": [{"kind": "BeamDrop", "levels": [10, 10]}]},
+        "('BeamDrop', '10')",
+    ),
+    "across-entries": (
+        {
+            "corruptions": [
+                {"kind": "SpuriousPoints", "levels": [5], "mode": "PointRelated"},
+                {"kind": "SpuriousPoints", "levels": [5], "mode": "Random"},
+            ]
+        },
+        "('SpuriousPoints', '5')",
+    ),
+    "same-heatmap-name": (
+        {"corruptions": [{"kind": "PointShifting", "levels": [3, 3.0000001]}]},
+        "('PointShifting', '3')",
+    ),
+    "pipeline": ({"pipelines": ["raw", "3dge_planar", "raw"]}, "duplicate pipeline"),
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, named", DUPLICATES.values(), ids=DUPLICATES.keys()
+)
+def test_duplicate_rows_are_config_errors(tmp_path, capsys, overrides, named):
+    code, err = run_config(tmp_path, capsys, overrides)
+    assert code == 1
+    assert "config error" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "kind, level",
+    [("c3", "inf"), ("c3", "2.5"), ("keypoint", "nan"), ("c1", "inf"), ("c4", "-1")],
+)
+def test_corrupt_bad_level_is_exit_1(tmp_path, capsys, kind, level):
+    src = tmp_path / "x.csv"
+    assert main(["gen-scene", "--seed", "1", "--out", str(src)]) == 0
+    argv = ["corrupt", "--kind", kind, "--level", level, "--seed", "0"]
+    code = main(argv + ["--in", str(src), "--out", str(tmp_path / "y.csv")])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+positive = st.floats(1e-3, 1e3)
+ordered = st.tuples(finite, finite).map(lambda t: tuple(sorted(t)))
+
+
+@st.composite
+def scene_configs(draw):
+    count = draw(st.integers(0, 3))
+    centers = st.lists(st.tuples(finite, finite, finite), min_size=count, max_size=count)
+    return SceneConfig(
+        cluster_count=count,
+        points_per_cluster=draw(st.integers(0, 100)),
+        cluster_radius_m=draw(positive),
+        noise_points=draw(st.integers(0, 100)),
+        target_rcs_range=draw(ordered),
+        noise_rcs_range=draw(ordered),
+        doppler_range=draw(ordered),
+        box_height_m=draw(positive),
+        cluster_centers=draw(st.none() | centers.map(tuple)),
+    )
+
+
+@st.composite
+def grid_specs(draw):
+    span = st.tuples(finite, positive).map(lambda t: (t[0], t[0] + t[1]))
+    ranges = [draw(span) for _ in "xyz"]
+    cells = draw(st.tuples(*[st.integers(1, 256)] * 3))
+    return GridSpec(*ranges, cells=cells)
+
+
+@st.composite
+def sweep_entries(draw):
+    """Entries whose (kind, level) pairs are all distinct."""
+    entries, seen = [], set()
+    for kind in draw(st.lists(st.sampled_from(CorruptionKind), min_size=1, max_size=5)):
+        if kind in SIGMA_KINDS:
+            level = st.floats(1e-3, 50.0)
+        else:
+            level = st.integers(0, 64).map(float)
+        levels = []
+        for lv in draw(st.lists(level, min_size=1, max_size=3)):
+            if (kind, f"{lv:g}") not in seen:
+                seen.add((kind, f"{lv:g}"))
+                levels.append(lv)
+        if not levels:
+            continue
+        entries.append(
+            SweepEntry(
+                kind=kind,
+                levels=tuple(levels),
+                mode=draw(st.sampled_from(SpuriousMode)),
+                spurious_ratio=draw(st.floats(1e-3, 1.0)),
+                gamma=draw(st.sampled_from((0, 1))),
+            )
+        )
+    return tuple(entries) or default_sweep_config().corruptions
+
+
+@st.composite
+def sweep_configs(draw):
+    projector = draw(st.sampled_from(("heuristic", "weights-file")))
+    return SweepConfig(
+        scene=draw(scene_configs()),
+        grid=draw(grid_specs()),
+        corruptions=draw(sweep_entries()),
+        pipelines=tuple(draw(st.lists(st.sampled_from(PIPELINES), min_size=1, unique=True))),
+        projector=projector,
+        projector_weights=draw(st.none() | st.text(min_size=1, max_size=12))
+        if projector == "heuristic"
+        else draw(st.text(min_size=1, max_size=12)),
+        replicates=draw(st.integers(1, 50)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        total_beams=draw(st.integers(1, 64)),
+    )
+
+
+RICH = SweepConfig(
+    scene=SceneConfig(cluster_count=2, cluster_centers=((1.0, 2.0, 0.0), (-3.5, 4.0, 1.0))),
+    corruptions=(
+        SweepEntry(CorruptionKind.SPURIOUS_POINTS, (2.5,), mode=SpuriousMode.POINT_RELATED),
+        SweepEntry(CorruptionKind.SPURIOUS_POINTS, (4.0,), mode=SpuriousMode.RANDOM),
+        SweepEntry(CorruptionKind.KEY_POINT_MISSING, (3,), gamma=1),
+    ),
+    pipelines=PIPELINES,
+    projector="weights-file",
+    projector_weights="weights/proj.json",
+    master_seed=2**64 - 1,
+)
+
+
+@given(cfg=sweep_configs())
+@example(cfg=RICH)
+@settings(max_examples=60, deadline=None)
+def test_json_round_trip(cfg):
+    text = json.dumps(sweep_config_to_json_dict(cfg))
+    assert sweep_config_from_json_dict(json.loads(text)) == cfg
+
+
+def test_readme_sweep_config_is_the_default():
+    section = README.read_text().split("### Sweep config", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    payload = json.loads(block)
+    assert sweep_config_from_json_dict(payload) == default_sweep_config()
+    full = sweep_config_to_json_dict(default_sweep_config())
+    assert payload.keys() == full.keys()
+    assert payload["scene"].keys() == full["scene"].keys()
+    assert payload["grid"].keys() == full["grid"].keys()
+    assert set().union(*payload["corruptions"]) == set(full["corruptions"][0])
+
+
+def test_corruption_spec_keys_are_its_fields():
+    spec = CorruptionSpec(kind=CorruptionKind.BEAM_DROP, seed=3, drop_count=4)
+    payload = {f.name: getattr(spec, f.name) for f in fields(CorruptionSpec)}
+    assert CorruptionSpec.from_json_dict(payload) == spec
+    with pytest.raises(ValueError, match="unknown"):
+        CorruptionSpec.from_json_dict({"kind": "BeamDrop", "beams": 3})
