@@ -39,6 +39,7 @@ from .corruption import (
     CorruptionSpec,
     SpuriousMode,
     apply_corruption,
+    check_count,
     spec_for_level,
 )
 from .expansion import (
@@ -58,6 +59,19 @@ PROJECTOR_MODES = ("heuristic", "weights-file")
 
 # Point-pair distances metric_chamfer holds at once, about.
 CHAMFER_BLOCK = 1 << 18
+# Points per nearest-neighbour bucket that metric_chamfer aims for, and its
+# cap on buckets per axis. A cloud of fewer than twice that many points is
+# one bucket, and so is the default 80-point scene.
+CHAMFER_BUCKET_POINTS = 32
+CHAMFER_MAX_BUCKETS = 64
+# Relative slack on a ring's lower bound, on the bound itself and on the
+# largest coordinate. Bucket keys, bucket faces and distances each round by
+# a few ulps of those; this is far above that.
+CHAMFER_SLACK = 1e-12
+# Odd multipliers that fold the three float64 bit patterns of a row into one hash.
+_XYZ_HASH = np.array(
+    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], dtype=np.uint64
+)
 
 # Clean fraction of the noisy-training data recipe.
 MANIFEST_CLEAN_RATIO = 0.8
@@ -384,6 +398,9 @@ def pipeline_bev(
 
 
 def _planar_box_mask(bev_shape, boxes, spec: GridSpec) -> np.ndarray:
+    """Cells whose centers fall in some box footprint; raises if none can."""
+    if not boxes:
+        raise ValueError("metric_snr requires at least one box")
     nx, ny = bev_shape
     csx, csy, _ = spec.cell_sizes
     centers_x = spec.x_range[0] + (np.arange(nx) + 0.5) * csx
@@ -400,6 +417,8 @@ def _planar_box_mask(bev_shape, boxes, spec: GridSpec) -> np.ndarray:
         mask |= (np.abs(local_x) <= box.size[0] / 2.0) & (
             np.abs(local_y) <= box.size[1] / 2.0
         )
+    if not mask.any():
+        raise ValueError("no grid cells fall inside the boxes")
     return mask
 
 
@@ -410,12 +429,8 @@ def metric_snr(bev: np.ndarray, boxes, spec: GridSpec) -> float:
     in some box footprint; the denominator averages over occupied cells
     outside all boxes. With no occupied outside cells the ratio is +inf.
     """
-    if not boxes:
-        raise ValueError("metric_snr requires at least one box")
+    in_mask = _planar_box_mask(np.shape(bev), boxes, spec)
     amplitude = np.abs(np.asarray(bev, dtype=np.float64))
-    in_mask = _planar_box_mask(amplitude.shape, boxes, spec)
-    if not in_mask.any():
-        raise ValueError("no grid cells fall inside the boxes")
     outside_occupied = ~in_mask & (amplitude > 0.0)
     if not outside_occupied.any():
         return math.inf
@@ -434,23 +449,156 @@ def metric_peak(clean_bev: np.ndarray, processed_bev: np.ndarray) -> tuple[bool,
     return a == b, l2
 
 
-def metric_chamfer(a: PointCloud, b: PointCloud) -> float:
-    """Symmetric Chamfer distance on positions, brute-force O(|a| |b|).
+def _unmatched(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Indices of the xyz rows of q whose bytes occur in no xyz row of p.
 
-    Rows of ``a`` are taken in blocks of about CHAMFER_BLOCK distances,
-    so memory stays bounded however large the clouds are.
+    One hash per row, one sort of p's hashes, then a byte compare with the
+    row of p that q's hash finds. A row that differs only in the sign of a
+    zero, or whose hash collides with another row's, counts as unmatched;
+    the exact search then handles it.
+    """
+    qu, pu = q.view(np.uint64), p.view(np.uint64)
+    hashes = pu.dot(_XYZ_HASH)
+    order = np.argsort(hashes)
+    at = np.searchsorted(hashes, qu.dot(_XYZ_HASH), sorter=order)
+    twin = order[np.minimum(at, len(order) - 1)]
+    return np.flatnonzero((qu != pu[twin]).any(axis=1))
+
+
+def _bucket_cells(extent: list[float], n: int) -> list[int]:
+    """Buckets per axis for n points spanning ``extent``.
+
+    Buckets are near-cubic and hold about CHAMFER_BUCKET_POINTS points
+    each if the points were spread evenly. An axis too thin for one bucket
+    side is not split, and no axis gets more than CHAMFER_MAX_BUCKETS.
+    """
+    cells = [1, 1, 1]
+    top = max(extent)
+    buckets = n / CHAMFER_BUCKET_POINTS
+    if not (math.isfinite(top) and top > 0 and buckets >= 2):
+        return cells
+    axes = sorted(range(3), key=lambda k: -extent[k])
+    for dims in (3, 2, 1):
+        side = (math.prod(extent[k] / top for k in axes[:dims]) / buckets) ** (1 / dims)
+        if side > 0 and extent[axes[dims - 1]] / top >= side:
+            break
+    for k in axes[:dims]:
+        cells[k] = min(CHAMFER_MAX_BUCKETS, max(1, int(extent[k] / top / side)))
+    return cells
+
+
+def _search(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distance from each column of q to its nearest column of p.
+
+    Both are (3, k) coordinate-major arrays. p is hashed into a uniform
+    grid of buckets, and each query visits Chebyshev rings of buckets
+    around its own, ring by ring for all pending queries at once. A query
+    is done when its best distance is 0.0, when its best is below the
+    distance to the ring's outer faces less a slack, or when its rings
+    cover every occupied bucket.
+    """
+    n = p.shape[1]
+    out = np.empty(q.shape[1])
+    step = max(1, CHAMFER_BLOCK // n)
+    lo, hi = p.min(axis=1), p.max(axis=1)
+    extent = hi - lo
+    cells = np.array(_bucket_cells(extent.tolist(), n))
+    split = np.flatnonzero(cells > 1)
+    if not split.size:
+        # One bucket: ring 0 holds all of p for every query.
+        for start in range(0, q.shape[1], step):
+            diff = q[:, start : start + step, None] - p[:, None, :]
+            out[start : start + step] = np.sqrt((diff * diff).sum(axis=0)).min(axis=1)
+        return out
+    size = np.zeros((3, 1))
+    size[split, 0] = extent[split] / cells[split]
+    last = (cells - 1)[:, None]
+    slack = CHAMFER_SLACK * max(np.abs(lo).max(), np.abs(hi).max())
+    lo = lo[:, None]
+
+    def keys(x):
+        k = np.zeros(x.shape, dtype=np.int64)
+        k[split] = np.clip(np.floor((x[split] - lo[split]) / size[split]), 0, last[split])
+        return k
+
+    pk = keys(p)
+    flat = np.ravel_multi_index(tuple(pk), cells)
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat)
+    counts = counts[counts > 0]
+    starts = np.cumsum(counts) - counts
+    occupied = pk.take(order[starts], axis=1)
+    p = p.take(order, axis=1)
+    qk = keys(q)
+    face = lo + qk * size
+    # Distances from each query to the low and high faces of its own bucket.
+    below, above = q - face, face + size - q
+    for start in range(0, q.shape[1], step):
+        block = slice(start, start + step)
+        kq, qb, lower, upper = qk[:, block], q[:, block], below[:, block], above[:, block]
+        ring_of = np.abs(kq[:, :, None] - occupied[:, None, :]).max(axis=0)
+        far = ring_of.max(axis=1)
+        best = np.full(kq.shape[1], np.inf)
+        pending = np.arange(kq.shape[1])
+        ring = 0
+        while pending.size:
+            rows, buckets = np.nonzero(ring_of[pending] == ring)
+            if rows.size:
+                # Expand each (query, bucket) pair to the bucket's points.
+                sizes = counts[buckets]
+                first = np.cumsum(sizes) - sizes
+                who = np.repeat(pending[rows], sizes)
+                pts = np.arange(who.size) + np.repeat(starts[buckets] - first, sizes)
+                diff = qb.take(who, axis=1) - p.take(pts, axis=1)
+                dist = np.sqrt((diff * diff).sum(axis=0))
+                new = np.flatnonzero(np.diff(rows, prepend=-1))
+                hit = pending[rows[new]]
+                best[hit] = np.minimum(best[hit], np.minimum.reduceat(dist, first[new]))
+            pending = pending[far[pending] > ring]
+            kp = kq.take(pending, axis=1)
+            gap = np.minimum(
+                np.where(kp > ring, lower.take(pending, axis=1) + ring * size, np.inf),
+                np.where(kp + ring < last, upper.take(pending, axis=1) + ring * size, np.inf),
+            ).min(axis=0)
+            left = best[pending]
+            pending = pending[(left > 0) & (left > gap * (1 - CHAMFER_SLACK) - slack)]
+            ring += 1
+        out[block] = best
+    return out
+
+
+def _nearest(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distance from each xyz row of q to its nearest xyz row of p."""
+    out = np.zeros(len(q))
+    rest = _unmatched(q, p)
+    if rest.size:
+        out[rest] = _search(q[rest].T.copy(), p.T.copy())
+    return out
+
+
+def metric_chamfer(a: PointCloud, b: PointCloud) -> float:
+    """Symmetric Chamfer distance between the positions of two clouds.
+
+    It is half the sum of the two directions' mean nearest-neighbour
+    distances, and it equals a brute-force O(|a| |b|) scan bit for bit.
+
+    Exact matches go first: a row whose xyz bytes also occur in the other
+    cloud is at distance +0.0, found with one hash-and-sort pass. Most
+    corruptions keep rows bit for bit (they remove or append rows, or
+    leave xyz alone), so this settles most rows. A -0.0 against a +0.0
+    does not match. Every other row goes to an exact bucketed
+    nearest-neighbour search over the other cloud: a uniform grid of
+    buckets, visited in Chebyshev rings until no unvisited bucket can hold
+    a nearer point. Each candidate distance is
+    ``np.sqrt((diff * diff).sum(...))`` over the three coordinates, as in
+    the scan, and is folded with ``np.minimum``, so every row minimum is
+    the scan's. Query rows are taken in blocks of
+    ``CHAMFER_BLOCK // len(other)``, so at most about CHAMFER_BLOCK point
+    pairs are held at once, however the points fall into buckets.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer distance requires non-empty clouds")
-    row_min = np.empty(len(a))
-    col_min = np.full(len(b), np.inf)
-    step = max(1, CHAMFER_BLOCK // len(b))
-    for lo in range(0, len(a), step):
-        diff = a.xyz[lo : lo + step, None, :] - b.xyz[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        row_min[lo : lo + step] = dist.min(axis=1)
-        np.minimum(col_min, dist.min(axis=0), out=col_min)
-    return float(0.5 * (row_min.mean() + col_min.mean()))
+    return float(0.5 * (_nearest(a.xyz, b.xyz).mean() + _nearest(b.xyz, a.xyz).mean()))
 
 
 @dataclass(frozen=True)
@@ -489,6 +637,9 @@ def _run_task(
             scene.cloud, spec, boxes=scene.boxes, bounds=cfg.grid, total_beams=cfg.total_beams
         )
         start = time.perf_counter()
+        # metric_snr's box checks depend only on the boxes and the grid, so a
+        # scene they reject fails before any pipeline runs.
+        _planar_box_mask(cfg.grid.cells[:2], scene.boxes, cfg.grid)
         # One cloud at a time: only its BEVs outlive the call, not its grids.
         processed = _pipeline_bevs(corrupted, cfg.grid, cfg.pipelines, weights)
         snr_before = metric_snr(processed["raw"], scene.boxes, cfg.grid)
@@ -544,6 +695,15 @@ def run_sweep(
     so reports are byte-stable. A failing combination yields an
     error-marked row instead of aborting the sweep.
     """
+    # SweepConfig accepts any non-negative integer count; the bounds that
+    # hold whatever the scene are checked here, before any task runs.
+    try:
+        for entry in cfg.corruptions:
+            if entry.kind not in SIGMA_KINDS:
+                for level in entry.levels:
+                    check_count(entry.kind, int(level), entry.gamma, cfg.total_beams)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     weights = None
     if cfg.projector == "weights-file":
         try:

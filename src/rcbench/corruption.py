@@ -53,6 +53,31 @@ SIGMA_KINDS = frozenset(
 )
 
 
+def check_count(
+    kind: CorruptionKind,
+    count: int,
+    gamma: int = 0,
+    total_beams: int = DEFAULT_BEAM_COUNT,
+    n: int | None = None,
+) -> None:
+    """Raise ValueError when a count kind's count is out of range.
+
+    BeamDrop drops 0 to total_beams beams. KeyPointMissing removes at
+    least one point, and at most TARGETED_REMOVAL_CAP with gamma=1 or half
+    of the cloud's n points with gamma=0. Only that last cap depends on the
+    scene; with n None it is not checked. Sigma kinds have no count.
+    """
+    if kind is CorruptionKind.BEAM_DROP:
+        if not 0 <= count <= total_beams:
+            raise ValueError(f"drop_count={count} outside [0, total_beams={total_beams}]")
+    elif kind is CorruptionKind.KEY_POINT_MISSING:
+        cap = TARGETED_REMOVAL_CAP if gamma == 1 else None if n is None else n // 2
+        if count < 1 or (cap is not None and count > cap):
+            raise ValueError(
+                f"k={count} outside [1, {'n // 2' if cap is None else cap}] for gamma={gamma}"
+            )
+
+
 def sample_sigma(rng: Rng) -> float:
     """Draw a corruption severity uniformly from [1, 50]."""
     return float(rng.generator().uniform(*SIGMA_RANGE))
@@ -85,9 +110,7 @@ def key_point_missing(
         raise ValueError("cannot remove points from an empty cloud")
     if gamma not in (0, 1):
         raise ValueError(f"gamma must be 0 or 1, got {gamma}")
-    cap = n // 2 if gamma == 0 else TARGETED_REMOVAL_CAP
-    if not 1 <= k <= cap:
-        raise ValueError(f"k={k} outside [1, {cap}] for gamma={gamma}")
+    check_count(CorruptionKind.KEY_POINT_MISSING, k, gamma, n=n)
 
     if gamma == 0:
         eligible = np.arange(n)
@@ -183,10 +206,7 @@ def beam_drop(
     """
     if total_beams < 1:
         raise ValueError(f"total_beams must be positive, got {total_beams}")
-    if not 0 <= drop_count <= total_beams:
-        raise ValueError(
-            f"drop_count={drop_count} outside [0, total_beams={total_beams}]"
-        )
+    check_count(CorruptionKind.BEAM_DROP, drop_count, total_beams=total_beams)
     if drop_count == 0 or len(cloud) == 0:
         return cloud
     dropped = _sample_without_replacement(

@@ -1,0 +1,85 @@
+"""What a sweep rejects before any pipeline runs: counts out of range
+whatever the scene, and scenes with no boxes to score.
+"""
+
+import json
+
+import pytest
+
+import rcbench.bench as bench
+from rcbench.bench import SceneConfig, SweepConfig, SweepEntry, run_sweep
+from rcbench.cli import main
+from rcbench.corruption import TARGETED_REMOVAL_CAP, CorruptionKind
+
+
+def run_config(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pipelines": ["raw"], "replicates": 2, **config}))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out-dir", str(out)])
+    return code, capsys.readouterr().err, out / "report.csv"
+
+
+COUNT_BOUNDS = {
+    "beams-above-total": (
+        {"corruptions": [{"kind": "BeamDrop", "levels": [40]}], "total_beams": 32},
+        "drop_count=40 outside [0, total_beams=32]",
+    ),
+    "keypoint-zero": (
+        {"corruptions": [{"kind": "KeyPointMissing", "levels": [0]}]},
+        "k=0 outside [1, n // 2] for gamma=0",
+    ),
+    "targeted-above-cap": (
+        {
+            "corruptions": [
+                {"kind": "KeyPointMissing", "levels": [TARGETED_REMOVAL_CAP + 1], "gamma": 1}
+            ]
+        },
+        f"k=9 outside [1, {TARGETED_REMOVAL_CAP}] for gamma=1",
+    ),
+}
+
+
+@pytest.mark.parametrize("config, named", COUNT_BOUNDS.values(), ids=COUNT_BOUNDS.keys())
+def test_scene_independent_count_bound_is_config_error(tmp_path, capsys, config, named):
+    code, err, report = run_config(tmp_path, capsys, config)
+    assert code == 1
+    assert "config error" in err and named in err
+    assert not report.exists()
+
+
+def test_beam_count_within_total_runs(tmp_path, capsys):
+    config = {"corruptions": [{"kind": "BeamDrop", "levels": [40]}], "total_beams": 64}
+    code, _, report = run_config(tmp_path, capsys, config)
+    assert code == 0
+    assert "ERROR" not in report.read_text()
+
+
+def test_scene_dependent_count_stays_a_row_error(tmp_path, capsys):
+    # Half of an 80-point scene is 40 points, so 500 fails only when a row runs.
+    config = {"corruptions": [{"kind": "KeyPointMissing", "levels": [500]}]}
+    code, _, report = run_config(tmp_path, capsys, config)
+    assert code == 0
+    rows = report.read_text().splitlines()[1:]
+    assert len(rows) == 2 and all("ERROR" in row for row in rows)
+
+
+def test_no_box_scene_fails_before_any_pipeline(monkeypatch):
+    calls = {"voxelize": 0}
+    original = bench.voxelize
+
+    def counted(*args, **kwargs):
+        calls["voxelize"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "voxelize", counted)
+    cfg = SweepConfig(
+        scene=SceneConfig(cluster_count=0),
+        corruptions=(SweepEntry(kind=CorruptionKind.POINT_SHIFTING, levels=(1.0,)),),
+        pipelines=bench.PIPELINES,
+        replicates=3,
+    )
+    rows, _ = run_sweep(cfg)
+    assert calls["voxelize"] == 0
+    assert len(rows) == 9
+    assert {row.error for row in rows} == {"ValueError: metric_snr requires at least one box"}
