@@ -5,13 +5,10 @@ from .core import (
     BoxAnnotation,
     GridSpec,
     PointCloud,
-    RadarPoint,
     Rng,
     Scene,
     VoxelGrid,
     default_grid,
-    point_in_box,
-    voxel_index,
 )
 from .corruption import (
     CorruptionKind,

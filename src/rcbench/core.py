@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,20 @@ def float_bits(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
+def freeze_arrays(obj) -> None:
+    """Replace every field of a frozen dataclass by a read-only float64 copy.
+
+    The copy leaves the caller's arrays writeable and unshared. Raises
+    ``ValueError`` when a field holds a non-finite value.
+    """
+    for field in fields(obj):
+        arr = np.array(getattr(obj, field.name), dtype=np.float64, copy=True)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{type(obj).__name__}.{field.name} must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(obj, field.name, arr)
+
+
 @dataclass(frozen=True)
 class Rng:
     """Counter-based random stream identified by (seed, stream).
@@ -92,25 +106,6 @@ class Rng:
     def substream(self, index: int) -> "Rng":
         """Independent child stream, stable in (stream, index)."""
         return Rng(self.seed, derive64(self.stream, index))
-
-
-@dataclass(frozen=True)
-class RadarPoint:
-    """A single 5-D radar return: position, normalized RCS, Doppler speed."""
-
-    x: float
-    y: float
-    z: float
-    rcs: float
-    v: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "rcs", "v"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite {name} in RadarPoint")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.rcs, self.v], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -150,18 +145,8 @@ class PointCloud:
     def v(self) -> np.ndarray:
         return self.data[:, 4]
 
-    def point(self, index: int) -> RadarPoint:
-        x, y, z, rcs, v = self.data[index]
-        return RadarPoint(x, y, z, rcs, v)
-
     def with_data(self, data: np.ndarray) -> "PointCloud":
         return PointCloud(data=data, frame_id=self.frame_id)
-
-    @classmethod
-    def from_points(cls, points, frame_id: str = "0") -> "PointCloud":
-        rows = [p.as_array() for p in points]
-        data = np.stack(rows) if rows else np.empty((0, 5))
-        return cls(data=data, frame_id=frame_id)
 
 
 @dataclass(frozen=True)
@@ -281,19 +266,9 @@ def empty_grid(spec: GridSpec) -> VoxelGrid:
     )
 
 
-def point_in_box(pt: RadarPoint, box: BoxAnnotation) -> bool:
-    """True iff the point lies within the box's yaw-rotated half-extents.
-
-    Boundaries are inclusive on every axis.
-    """
-    mask = points_in_box_mask(
-        np.array([[pt.x, pt.y, pt.z]], dtype=np.float64), box
-    )
-    return bool(mask[0])
-
-
 def points_in_box_mask(xyz: np.ndarray, box: BoxAnnotation) -> np.ndarray:
-    """Vectorized membership test for an (n, 3) position array."""
+    """Membership test for an (n, 3) position array against the box's
+    yaw-rotated half-extents; boundaries are inclusive on every axis."""
     cx, cy, cz = box.center
     dx = xyz[:, 0] - cx
     dy = xyz[:, 1] - cy
@@ -315,24 +290,14 @@ def points_in_any_box_mask(xyz: np.ndarray, boxes) -> np.ndarray:
     return mask
 
 
-def voxel_index(
-    spec: GridSpec, position: tuple[float, float, float]
-) -> tuple[int, int, int] | None:
-    """Floor-based cell index of a position, or None when out of range.
-
-    Both range ends are closed; a coordinate exactly at max bins to the
-    last cell so boundary points are never silently dropped.
-    """
-    mask, ix, iy, iz = voxel_indices(spec, np.array([position], dtype=np.float64))
-    return (int(ix[0]), int(iy[0]), int(iz[0])) if mask[0] else None
-
-
 def voxel_indices(
     spec: GridSpec, xyz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized cell indices: (in-range mask, ix, iy, iz).
+    """Floor-based cell indices: (in-range mask, ix, iy, iz).
 
-    Index arrays are only meaningful where the mask is True.
+    Both range ends are closed; a coordinate exactly at max bins to the
+    last cell so boundary points are never silently dropped. Index arrays
+    are only meaningful where the mask is True.
     """
     n_pts = xyz.shape[0]
     mask = np.ones(n_pts, dtype=bool)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, PointCloud, VoxelGrid, empty_grid, voxel_indices
+from .core import GridSpec, PointCloud, VoxelGrid, empty_grid, freeze_arrays, voxel_indices
 
 # Admissible kernel side lengths, in voxels.
 LAMBDA_CHOICES = (1, 3, 5)
@@ -67,22 +67,11 @@ class ProjectorWeights:
     b2: np.ndarray
 
     def __post_init__(self) -> None:
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        b1 = np.asarray(self.b1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
-        b2 = np.asarray(self.b2, dtype=np.float64)
-        if w1.shape != (PROJECTOR_HIDDEN, 2) or b1.shape != (PROJECTOR_HIDDEN,):
+        freeze_arrays(self)
+        if self.w1.shape != (PROJECTOR_HIDDEN, 2) or self.b1.shape != (PROJECTOR_HIDDEN,):
             raise ValueError("first projector layer must map 2 -> 8")
-        if w2.shape != (4, PROJECTOR_HIDDEN) or b2.shape != (4,):
+        if self.w2.shape != (4, PROJECTOR_HIDDEN) or self.b2.shape != (4,):
             raise ValueError("second projector layer must map 8 -> 4")
-        for arr in (w1, b1, w2, b2):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("projector weights must be finite")
-            arr.setflags(write=False)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", b2)
 
 
 def save_projector_weights(weights: ProjectorWeights, path) -> None:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
-from .core import Rng
+from .core import Rng, freeze_arrays
 
 LN_EPSILON = 1e-5
 DEFAULT_HEADS = 8
@@ -29,18 +30,6 @@ FUSION_PARAMS_MAGIC = b"CMCA"
 FUSION_PARAMS_VERSION = 1
 
 
-def _lock(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.setflags(write=False)
-
-
-def _as_f64(value) -> np.ndarray:
-    arr = np.array(value, dtype=np.float64, copy=True)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("parameters must be finite")
-    return arr
-
-
 @dataclass(frozen=True)
 class FeatureMap:
     """Dense C x H x W real field."""
@@ -48,13 +37,9 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64, copy=True)
-        if arr.ndim != 3:
-            raise ValueError(f"feature map must be (c, h, w), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("feature map contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        freeze_arrays(self)
+        if self.data.ndim != 3:
+            raise ValueError(f"feature map must be (c, h, w), got {self.data.shape}")
 
     @property
     def channels(self) -> int:
@@ -76,13 +61,11 @@ class ConfidenceMap:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64, copy=True)
-        if arr.ndim != 2:
-            raise ValueError(f"confidence map must be (h, w), got {arr.shape}")
-        if not np.all((arr > 0.0) & (arr < 1.0)):
+        freeze_arrays(self)
+        if self.data.ndim != 2:
+            raise ValueError(f"confidence map must be (h, w), got {self.data.shape}")
+        if not np.all((self.data > 0.0) & (self.data < 1.0)):
             raise ValueError("confidence values must lie strictly in (0, 1)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
 
 
 @dataclass(frozen=True)
@@ -91,13 +74,9 @@ class LayerNormParams:
     shift: np.ndarray
 
     def __post_init__(self) -> None:
-        scale = _as_f64(self.scale)
-        shift = _as_f64(self.shift)
-        if scale.ndim != 1 or scale.shape != shift.shape:
+        freeze_arrays(self)
+        if self.scale.ndim != 1 or self.scale.shape != self.shift.shape:
             raise ValueError("scale and shift must be matching 1-D arrays")
-        _lock(scale, shift)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "shift", shift)
 
     @property
     def channels(self) -> int:
@@ -114,16 +93,13 @@ class ConfidenceMlpParams:
     b2: np.ndarray
 
     def __post_init__(self) -> None:
-        w1, b1, w2, b2 = map(_as_f64, (self.w1, self.b1, self.w2, self.b2))
-        if w1.ndim != 2 or w1.shape[0] != CONFIDENCE_HIDDEN:
+        freeze_arrays(self)
+        if self.w1.ndim != 2 or self.w1.shape[0] != CONFIDENCE_HIDDEN:
             raise ValueError(f"w1 must be ({CONFIDENCE_HIDDEN}, C)")
-        if b1.shape != (CONFIDENCE_HIDDEN,):
+        if self.b1.shape != (CONFIDENCE_HIDDEN,):
             raise ValueError(f"b1 must be ({CONFIDENCE_HIDDEN},)")
-        if w2.shape != (2, CONFIDENCE_HIDDEN) or b2.shape != (2,):
+        if self.w2.shape != (2, CONFIDENCE_HIDDEN) or self.b2.shape != (2,):
             raise ValueError("second layer must map 16 -> 2")
-        _lock(w1, b1, w2, b2)
-        for name, arr in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
-            object.__setattr__(self, name, arr)
 
     @property
     def channels(self) -> int:
@@ -136,13 +112,9 @@ class AffineParams:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _as_f64(self.w)
-        b = _as_f64(self.b)
-        if w.ndim != 2 or b.shape != (w.shape[0],):
+        freeze_arrays(self)
+        if self.w.ndim != 2 or self.b.shape != (self.w.shape[0],):
             raise ValueError("affine parameters must be (out, in) and (out,)")
-        _lock(w, b)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -162,40 +134,23 @@ class DeformAttnParams:
     out_b: np.ndarray
 
     def __post_init__(self) -> None:
-        offset_w, offset_b, weight_w, weight_b, out_w, out_b = map(
-            _as_f64,
-            (
-                self.offset_w,
-                self.offset_b,
-                self.weight_w,
-                self.weight_b,
-                self.out_w,
-                self.out_b,
-            ),
-        )
-        if offset_w.ndim != 3 or weight_w.ndim != 3:
+        freeze_arrays(self)
+        if self.offset_w.ndim != 3 or self.weight_w.ndim != 3:
             raise ValueError("offset_w / weight_w must be 3-D (heads, k, C)")
-        heads, twop, channels = offset_w.shape
-        points = weight_w.shape[1]
+        heads, twop, channels = self.offset_w.shape
+        points = self.weight_w.shape[1]
         if twop != 2 * points:
             raise ValueError("offset projection width must be 2 * points")
-        if weight_w.shape != (heads, points, channels):
+        if self.weight_w.shape != (heads, points, channels):
             raise ValueError("weight_w shape inconsistent with offset_w")
-        if offset_b.shape != (heads, twop) or weight_b.shape != (heads, points):
+        if self.offset_b.shape != (heads, twop) or self.weight_b.shape != (heads, points):
             raise ValueError("bias shapes inconsistent with projections")
-        if out_w.ndim != 2 or out_b.shape != (out_w.shape[0],):
+        if self.out_w.ndim != 2 or self.out_b.shape != (self.out_w.shape[0],):
             raise ValueError("output projection must be (C_out, C_value)")
-        if out_w.shape[1] % heads != 0:
+        if self.out_w.shape[1] % heads != 0:
             raise ValueError(
-                f"value channels {out_w.shape[1]} not divisible by {heads} heads"
+                f"value channels {self.out_w.shape[1]} not divisible by {heads} heads"
             )
-        _lock(offset_w, offset_b, weight_w, weight_b, out_w, out_b)
-        object.__setattr__(self, "offset_w", offset_w)
-        object.__setattr__(self, "offset_b", offset_b)
-        object.__setattr__(self, "weight_w", weight_w)
-        object.__setattr__(self, "weight_b", weight_b)
-        object.__setattr__(self, "out_w", out_w)
-        object.__setattr__(self, "out_b", out_b)
 
     @property
     def heads(self) -> int:
@@ -218,15 +173,11 @@ class ConvParams:
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        kernel = _as_f64(self.kernel)
-        bias = _as_f64(self.bias)
-        if kernel.ndim != 4 or kernel.shape[2:] != (3, 3):
+        freeze_arrays(self)
+        if self.kernel.ndim != 4 or self.kernel.shape[2:] != (3, 3):
             raise ValueError("conv kernel must be (out, in, 3, 3)")
-        if bias.shape != (kernel.shape[0],):
+        if self.bias.shape != (self.kernel.shape[0],):
             raise ValueError("conv bias must match output channels")
-        _lock(kernel, bias)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "bias", bias)
 
 
 @dataclass(frozen=True)
@@ -276,11 +227,12 @@ class FusionParams:
 
 
 # ---------------------------------------------------------------------------
-# Forward-mode primitives. Every helper maps (value, tangent) -> (value,
-# tangent). A ``None`` tangent skips the tangent arithmetic and comes back as
-# ``None``; the value is computed by the same expressions either way, so the
-# forward ops and their JVPs agree bit for bit. Helpers with several inputs
-# take their tangents all as arrays or all as ``None``.
+# Jacobian-vector products. Each ``*_jvp`` is the one implementation of its
+# operation and maps float64 arrays (value, tangent) -> (value, tangent). A
+# ``None`` tangent skips the tangent arithmetic and comes back as ``None``;
+# the value is computed by the same expressions either way, so the forward
+# ops, which pass ``None``, equal the JVP primal bit for bit. Functions with
+# several inputs take their tangents all as arrays or all as ``None``.
 # ---------------------------------------------------------------------------
 
 
@@ -303,7 +255,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ln(x, dx, params: LayerNormParams):
+def layer_norm_jvp(x, dx, params: LayerNormParams):
     mu = x.mean(axis=0)
     xc = x - mu
     var = np.mean(xc * xc, axis=0)
@@ -323,7 +275,7 @@ def _cellwise_affine(x, dx, w, b):
     return y, None if dx is None else _mm(w, dx)
 
 
-def _conf(x, dx, params: ConfidenceMlpParams):
+def confidence_map_jvp(x, dx, params: ConfidenceMlpParams):
     h, dh = _cellwise_affine(x, dx, params.w1, params.b1)
     active = h > 0.0
     logits, dlogits = _cellwise_affine(
@@ -338,7 +290,7 @@ def _conf(x, dx, params: ConfidenceMlpParams):
     return m, np.where((m_raw > lo) & (m_raw < hi), dm, 0.0)
 
 
-def _attn(q, dq, v, dv, params: DeformAttnParams):
+def deform_cross_attention_jvp(q, dq, v, dv, params: DeformAttnParams):
     heads, points = params.heads, params.points
     _, height, width = q.shape
     cv = v.shape[0]
@@ -416,49 +368,55 @@ def _conv3_raw(x, taps):
     return out
 
 
-def _conv3(x, dx, params: ConvParams):
+def conv_merge_jvp(x, dx, params: ConvParams):
     # (3, 3, out, in), so each tap is a contiguous (out, in) matrix for BLAS.
     taps = np.ascontiguousarray(params.kernel.transpose(2, 3, 0, 1))
     y = _conv3_raw(x, taps) + params.bias[:, None, None]
     return y, None if dx is None else _conv3_raw(dx, taps)
 
 
-def _weighted(fi, dfi, fp, dfp, m, dm):
+def weight_features_jvp(fi, dfi, fp, dfp, m, dm):
+    """Returns ``((fic, fpc), (dfic, dfpc))``, or ``((fic, fpc), None)``."""
     mb = m[None]
     fic = mb * fi
     fpc = (1.0 - mb) * fp
     if dm is None:
-        return fic, None, fpc, None
+        return (fic, fpc), None
     dmb = dm[None]
-    return fic, dmb * fi + mb * dfi, fpc, -dmb * fp + (1.0 - mb) * dfp
+    return (fic, fpc), (dmb * fi + mb * dfi, -dmb * fp + (1.0 - mb) * dfp)
 
 
-def _aggregate(fi, dfi, fp, dfp, params: FusionParams):
-    ln_i, dln_i = _ln(fi, dfi, params.ln_image)
-    ln_p, dln_p = _ln(fp, dfp, params.ln_radar)
+def aggregate_jvp(fi, dfi, fp, dfp, params: FusionParams):
+    ln_i, dln_i = layer_norm_jvp(fi, dfi, params.ln_image)
+    ln_p, dln_p = layer_norm_jvp(fp, dfp, params.ln_radar)
     return _cellwise_affine(
         _cat(ln_i, ln_p), _cat(dln_i, dln_p), params.agg_w.w, params.agg_w.b
     )
 
 
-def _concat_mm(fic, dfic, fpc, dfpc, params: FusionParams):
-    ln_wi, dln_wi = _ln(fic, dfic, params.ln_weighted_image)
-    ln_wp, dln_wp = _ln(fpc, dfpc, params.ln_weighted_radar)
+def concat_mm_jvp(fic, dfic, fpc, dfpc, params: FusionParams):
+    ln_wi, dln_wi = layer_norm_jvp(fic, dfic, params.ln_weighted_image)
+    ln_wp, dln_wp = layer_norm_jvp(fpc, dfpc, params.ln_weighted_radar)
     return _cat(ln_wi, ln_wp), _cat(dln_wi, dln_wp)
 
 
-def _fuse(fi, dfi, fp, dfp, params: FusionParams):
-    f_a, df_a = _aggregate(fi, dfi, fp, dfp, params)
-    m, dm = _conf(fi, dfi, params.conf_mlp)
-    fic, dfic, fpc, dfpc = _weighted(fi, dfi, fp, dfp, m, dm)
-    f_mm, df_mm = _concat_mm(fic, dfic, fpc, dfpc, params)
-    plain, dplain = _attn(f_a, df_a, _cat(fi, fp), _cat(dfi, dfp), params.attn_plain)
-    conf, dconf = _attn(f_a, df_a, f_mm, df_mm, params.attn_weighted)
-    return _conv3(plain + conf, None if dfi is None else dplain + dconf, params.out_conv)
+def fuse_bev_jvp(fi, dfi, fp, dfp, params: FusionParams):
+    f_a, df_a = aggregate_jvp(fi, dfi, fp, dfp, params)
+    m, dm = confidence_map_jvp(fi, dfi, params.conf_mlp)
+    (fic, fpc), dw = weight_features_jvp(fi, dfi, fp, dfp, m, dm)
+    dfic, dfpc = dw or (None, None)
+    f_mm, df_mm = concat_mm_jvp(fic, dfic, fpc, dfpc, params)
+    plain, dplain = deform_cross_attention_jvp(
+        f_a, df_a, _cat(fi, fp), _cat(dfi, dfp), params.attn_plain
+    )
+    conf, dconf = deform_cross_attention_jvp(f_a, df_a, f_mm, df_mm, params.attn_weighted)
+    return conv_merge_jvp(
+        plain + conf, None if dfi is None else dplain + dconf, params.out_conv
+    )
 
 
 # ---------------------------------------------------------------------------
-# Public operations and their Jacobian-vector products.
+# Public forward operations: shape checks, then the JVP with no tangent.
 # ---------------------------------------------------------------------------
 
 
@@ -466,12 +424,8 @@ def layer_norm(f: FeatureMap, params: LayerNormParams) -> FeatureMap:
     """Standardize each cell across channels, then scale and shift."""
     if params.channels != f.channels:
         raise ValueError("layer-norm width must match feature channels")
-    y, _ = _ln(f.data, None, params)
+    y, _ = layer_norm_jvp(f.data, None, params)
     return FeatureMap(y)
-
-
-def layer_norm_jvp(x: np.ndarray, dx: np.ndarray, params: LayerNormParams):
-    return _ln(np.asarray(x, dtype=np.float64), np.asarray(dx, dtype=np.float64), params)
 
 
 def confidence_map(f_image: FeatureMap, params: ConfidenceMlpParams) -> ConfidenceMap:
@@ -481,12 +435,8 @@ def confidence_map(f_image: FeatureMap, params: ConfidenceMlpParams) -> Confiden
     """
     if params.channels != f_image.channels:
         raise ValueError("confidence MLP width must match feature channels")
-    m, _ = _conf(f_image.data, None, params)
+    m, _ = confidence_map_jvp(f_image.data, None, params)
     return ConfidenceMap(m)
-
-
-def confidence_map_jvp(x: np.ndarray, dx: np.ndarray, params: ConfidenceMlpParams):
-    return _conf(np.asarray(x, dtype=np.float64), np.asarray(dx, dtype=np.float64), params)
 
 
 def weight_features(
@@ -497,13 +447,10 @@ def weight_features(
         raise ValueError("feature maps must share a shape")
     if m.data.shape != f_image.data.shape[1:]:
         raise ValueError("confidence map dims must match the features")
-    fic, _, fpc, _ = _weighted(f_image.data, None, f_radar.data, None, m.data, None)
+    (fic, fpc), _ = weight_features_jvp(
+        f_image.data, None, f_radar.data, None, m.data, None
+    )
     return FeatureMap(fic), FeatureMap(fpc)
-
-
-def weight_features_jvp(fi, dfi, fp, dfp, m, dm):
-    fic, dfic, fpc, dfpc = _weighted(fi, dfi, fp, dfp, m, dm)
-    return (fic, fpc), (dfic, dfpc)
 
 
 def aggregate(
@@ -515,12 +462,8 @@ def aggregate(
     """
     if f_image.data.shape != f_radar.data.shape:
         raise ValueError("feature maps must share a shape")
-    y, _ = _aggregate(f_image.data, None, f_radar.data, None, params)
+    y, _ = aggregate_jvp(f_image.data, None, f_radar.data, None, params)
     return FeatureMap(y)
-
-
-def aggregate_jvp(fi, dfi, fp, dfp, params: FusionParams):
-    return _aggregate(fi, dfi, fp, dfp, params)
 
 
 def concat_mm(
@@ -529,12 +472,8 @@ def concat_mm(
     """Layer-normalize the two confidence-weighted maps and concatenate."""
     if f_image_conf.data.shape != f_radar_conf.data.shape:
         raise ValueError("feature maps must share a shape")
-    y, _ = _concat_mm(f_image_conf.data, None, f_radar_conf.data, None, params)
+    y, _ = concat_mm_jvp(f_image_conf.data, None, f_radar_conf.data, None, params)
     return FeatureMap(y)
-
-
-def concat_mm_jvp(fic, dfic, fpc, dfpc, params: FusionParams):
-    return _concat_mm(fic, dfic, fpc, dfpc, params)
 
 
 def deform_cross_attention(
@@ -547,16 +486,8 @@ def deform_cross_attention(
     cell + offset (border-clamped), weighted, concatenated across heads,
     and passed through the output projection.
     """
-    if value.channels % params.heads != 0:
-        raise ValueError(
-            f"value channels {value.channels} not divisible by {params.heads} heads"
-        )
-    y, _ = _attn(query.data, None, value.data, None, params)
+    y, _ = deform_cross_attention_jvp(query.data, None, value.data, None, params)
     return FeatureMap(y)
-
-
-def deform_cross_attention_jvp(q, dq, v, dv, params: DeformAttnParams):
-    return _attn(q, dq, v, dv, params)
 
 
 def fuse_bev(
@@ -568,22 +499,14 @@ def fuse_bev(
         raise ValueError("feature maps must share a shape")
     if f_image.channels != params.channels:
         raise ValueError("feature channels must match the parameter set")
-    y, _ = _fuse(f_image.data, None, f_radar.data, None, params)
+    y, _ = fuse_bev_jvp(f_image.data, None, f_radar.data, None, params)
     return FeatureMap(y)
-
-
-def fuse_bev_jvp(fi, dfi, fp, dfp, params: FusionParams):
-    return _fuse(fi, dfi, fp, dfp, params)
 
 
 def conv_merge(f: FeatureMap, params: ConvParams) -> FeatureMap:
     """Zero-padded 3x3 convolution used as the final merge."""
-    y, _ = _conv3(f.data, None, params)
+    y, _ = conv_merge_jvp(f.data, None, params)
     return FeatureMap(y)
-
-
-def conv_merge_jvp(x, dx, params: ConvParams):
-    return _conv3(x, dx, params)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +568,8 @@ def random_fusion_params(
 
 
 def _block_shapes(c: int, heads: int, points: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The CMCA block table: ``part.field`` names and shapes, in the field
+    order of ``FusionParams`` and of each part."""
     ln_blocks = []
     for name in ("ln_image", "ln_radar", "ln_weighted_image", "ln_weighted_radar"):
         ln_blocks += [(f"{name}.scale", (c,)), (f"{name}.shift", (c,))]
@@ -721,47 +646,22 @@ def load_fusion_params(path) -> tuple[FusionParams, dict]:
         raise ValueError(f"bad fusion parameter magic {magic!r}")
     if version != FUSION_PARAMS_VERSION:
         raise ValueError(f"unsupported fusion parameter version {version}")
-    blocks = {}
+    parts: dict[str, dict[str, np.ndarray]] = {}
     offset = header_size
     for name, shape in _block_shapes(c, heads, points):
         n = int(np.prod(shape))
         if offset + 8 * n > len(raw):
             raise ValueError(f"fusion parameter file truncated at block {name}")
-        blocks[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(
-            shape
-        )
+        part, field = name.split(".")
+        parts.setdefault(part, {})[field] = np.frombuffer(
+            raw, dtype="<f8", count=n, offset=offset
+        ).reshape(shape)
         offset += 8 * n
     if offset != len(raw):
         raise ValueError("trailing bytes after final parameter block")
-
-    def ln(name):
-        return LayerNormParams(scale=blocks[f"{name}.scale"], shift=blocks[f"{name}.shift"])
-
-    def attn(name):
-        return DeformAttnParams(
-            offset_w=blocks[f"{name}.offset_w"],
-            offset_b=blocks[f"{name}.offset_b"],
-            weight_w=blocks[f"{name}.weight_w"],
-            weight_b=blocks[f"{name}.weight_b"],
-            out_w=blocks[f"{name}.out_w"],
-            out_b=blocks[f"{name}.out_b"],
-        )
-
+    part_types = get_type_hints(FusionParams)
     params = FusionParams(
-        ln_image=ln("ln_image"),
-        ln_radar=ln("ln_radar"),
-        ln_weighted_image=ln("ln_weighted_image"),
-        ln_weighted_radar=ln("ln_weighted_radar"),
-        conf_mlp=ConfidenceMlpParams(
-            w1=blocks["conf_mlp.w1"],
-            b1=blocks["conf_mlp.b1"],
-            w2=blocks["conf_mlp.w2"],
-            b2=blocks["conf_mlp.b2"],
-        ),
-        agg_w=AffineParams(w=blocks["agg_w.w"], b=blocks["agg_w.b"]),
-        attn_plain=attn("attn_plain"),
-        attn_weighted=attn("attn_weighted"),
-        out_conv=ConvParams(kernel=blocks["out_conv.kernel"], bias=blocks["out_conv.bias"]),
+        **{part: part_types[part](**fields) for part, fields in parts.items()}
     )
     header = {
         "channels": c,

@@ -11,15 +11,14 @@ from rcbench.core import (
     BoxAnnotation,
     GridSpec,
     PointCloud,
-    RadarPoint,
     Rng,
     VoxelGrid,
     default_grid,
     derive64,
-    point_in_box,
+    points_in_box_mask,
     read_boxes_csv,
     read_point_cloud_csv,
-    voxel_index,
+    voxel_indices,
     write_boxes_csv,
     write_point_cloud_csv,
 )
@@ -40,32 +39,39 @@ def oracle_point_in_box(xyz, box):
     )
 
 
+def bin_positions(*positions):
+    return voxel_indices(default_grid(), np.array(positions, dtype=np.float64))
+
+
+def in_box(xyz, box) -> bool:
+    return bool(points_in_box_mask(np.array([xyz], dtype=np.float64), box)[0])
+
+
 class TestVoxelIndex:
     def test_min_edge_bins_to_first_cell(self):
-        spec = default_grid()
-        assert voxel_index(spec, (-51.2, 0.0, 0.0))[0] == 0
+        mask, ix, _, _ = bin_positions((-51.2, 0.0, 0.0))
+        assert mask[0] and ix[0] == 0
 
     def test_max_edge_bins_to_last_cell(self):
-        spec = default_grid()
-        assert voxel_index(spec, (51.2, 0.0, 0.0))[0] == 127
+        mask, ix, _, _ = bin_positions((51.2, 0.0, 0.0))
+        assert mask[0] and ix[0] == 127
 
     def test_origin_bins_to_cell_64(self):
-        spec = default_grid()
-        assert voxel_index(spec, (0.0, 0.0, 0.0))[0] == 64
+        mask, ix, _, _ = bin_positions((0.0, 0.0, 0.0))
+        assert mask[0] and ix[0] == 64
 
     def test_out_of_range_is_absent(self):
-        spec = default_grid()
-        assert voxel_index(spec, (51.3, 0.0, 0.0)) is None
-        assert voxel_index(spec, (0.0, 0.0, 3.1)) is None
+        mask, _, _, _ = bin_positions((51.3, 0.0, 0.0), (0.0, 0.0, 3.1))
+        assert mask.tolist() == [False, False]
 
     def test_monotone_and_surjective_along_axis(self):
         """Sweeping the range hits every cell index in order."""
-        spec = default_grid()
         xs = np.linspace(-51.2, 51.2, 4097)
-        indices = [voxel_index(spec, (x, 0.0, 0.0))[0] for x in xs]
-        assert indices[0] == 0 and indices[-1] == 127
-        assert all(b - a >= 0 for a, b in zip(indices, indices[1:]))
-        assert set(indices) == set(range(128))
+        mask, ix, _, _ = bin_positions(*[(x, 0.0, 0.0) for x in xs])
+        assert mask.all()
+        assert ix[0] == 0 and ix[-1] == 127
+        assert np.all(np.diff(ix) >= 0)
+        assert set(ix.tolist()) == set(range(128))
 
     @given(
         x=st.floats(-51.2, 51.2),
@@ -75,28 +81,27 @@ class TestVoxelIndex:
     @settings(max_examples=100, deadline=None)
     def test_in_range_positions_always_bin(self, x, y, z):
         spec = default_grid()
-        idx = voxel_index(spec, (x, y, z))
-        assert idx is not None
+        mask, *idx = bin_positions((x, y, z))
+        assert mask[0]
         for i, n in zip(idx, spec.cells):
-            assert 0 <= i < n
+            assert 0 <= i[0] < n
 
 
 class TestPointInBox:
     def test_center_is_interior(self):
         box = BoxAnnotation(center=(1.0, 2.0, 3.0), size=(4.0, 2.0, 2.0), yaw=0.7)
-        assert point_in_box(RadarPoint(1.0, 2.0, 3.0, 0.0, 0.0), box)
+        assert in_box((1.0, 2.0, 3.0), box)
 
     def test_just_outside_face(self):
         box = BoxAnnotation(center=(0.0, 0.0, 0.0), size=(4.0, 2.0, 2.0), yaw=0.0)
-        assert not point_in_box(RadarPoint(2.01, 0.0, 0.0, 0.0, 0.0), box)
+        assert not in_box((2.01, 0.0, 0.0), box)
 
     def test_rotated_frame_swaps_extents(self):
         # At yaw = pi/2 the world x offset lands on the box's width axis.
         box = BoxAnnotation(
             center=(0.0, 0.0, 0.0), size=(4.0, 2.0, 2.0), yaw=math.pi / 2
         )
-        pt = RadarPoint(2.0 - 1e-6, 0.0, 0.0, 0.0, 0.0)
-        assert not point_in_box(pt, box)
+        assert not in_box((2.0 - 1e-6, 0.0, 0.0), box)
         assert not oracle_point_in_box((2.0 - 1e-6, 0.0, 0.0), box)
 
     def test_agrees_with_rotation_matrix_oracle(self):
@@ -108,8 +113,7 @@ class TestPointInBox:
                 size=tuple(gen.uniform(0.5, 6.0, size=3)),
                 yaw=float(gen.uniform(-math.pi, math.pi)),
             )
-            pt = RadarPoint(*xyz, 0.0, 0.0)
-            assert point_in_box(pt, box) == oracle_point_in_box(xyz, box)
+            assert in_box(xyz, box) == oracle_point_in_box(xyz, box)
 
 
 class TestRng:
@@ -133,9 +137,9 @@ class TestRng:
 
 
 class TestTypes:
-    def test_radar_point_rejects_non_finite(self):
+    def test_cloud_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            RadarPoint(math.nan, 0.0, 0.0, 0.0, 0.0)
+            PointCloud(data=[[math.nan, 0.0, 0.0, 0.0, 0.0]])
 
     def test_cloud_shape_validation(self):
         with pytest.raises(ValueError):

@@ -70,10 +70,10 @@ class TestKeyPointMissing:
         box = BoxAnnotation(center=(0, 0, 0), size=(8, 8, 8), yaw=0.4)
         out = key_point_missing(cloud, (box,), gamma=1, k=5, rng=Rng(5))
         removed_rows = set(map(tuple, cloud.data)) - set(map(tuple, out.data))
-        from rcbench.core import point_in_box, RadarPoint
+        from rcbench.core import points_in_box_mask
 
-        for row in removed_rows:
-            assert point_in_box(RadarPoint(*row), box)
+        removed = np.array(sorted(removed_rows)).reshape(-1, 5)
+        assert points_in_box_mask(removed[:, :3], box).all()
 
     def test_k_bounds_enforced(self):
         cloud = random_cloud(10)
