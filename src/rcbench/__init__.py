@@ -23,12 +23,12 @@ from .corruption import (
     spurious_points,
 )
 from .expansion import (
-    KernelParams,
     ProjectorWeights,
     bev_project,
     build_kernel,
     expand,
     heuristic_kernel_params,
+    kernel_params,
     kernel_params_for_cloud,
     merge_residual,
     project_params,

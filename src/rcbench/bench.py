@@ -212,6 +212,14 @@ class SweepConfig:
             raise ConfigError("total_beams must be a positive integer")
         if not is_int(self.master_seed) or not 0 <= self.master_seed < 1 << 64:
             raise ConfigError("master_seed must be an integer in [0, 2**64)")
+        # Count bounds that hold whatever the scene; n // 2 is checked per row.
+        try:
+            for entry in self.corruptions:
+                if entry.kind not in SIGMA_KINDS:
+                    for level in entry.levels:
+                        check_count(entry.kind, int(level), entry.gamma, self.total_beams)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # Heatmap names carry the level as {level:g}, so two levels that
         # print alike there are one pair too.
         seen = set()
@@ -695,15 +703,6 @@ def run_sweep(
     so reports are byte-stable. A failing combination yields an
     error-marked row instead of aborting the sweep.
     """
-    # SweepConfig accepts any non-negative integer count; the bounds that
-    # hold whatever the scene are checked here, before any task runs.
-    try:
-        for entry in cfg.corruptions:
-            if entry.kind not in SIGMA_KINDS:
-                for level in entry.levels:
-                    check_count(entry.kind, int(level), entry.gamma, cfg.total_beams)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     weights = None
     if cfg.projector == "weights-file":
         try:
@@ -745,8 +744,9 @@ def write_report_csv(rows, path, include_timing: bool = False) -> None:
     """Serialize rows in declaration order.
 
     Timing is omitted by default so repeated runs of the same config
-    produce byte-identical reports; pass include_timing=True to record
-    the measured per-row wall time instead.
+    produce byte-identical reports. With include_timing=True, ``wall_ms``
+    is the wall time of the row's task, the pipelines and metrics of one
+    (kind, level, replicate) after its scene is corrupted; rows share it.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

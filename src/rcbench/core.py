@@ -80,6 +80,13 @@ def freeze_arrays(obj) -> None:
         object.__setattr__(obj, field.name, arr)
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Lock a freshly built array in place and return it, so that
+    ``VoxelGrid``, which copies writeable arrays, keeps it as it is."""
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Rng:
     """Counter-based random stream identified by (seed, stream).
@@ -230,7 +237,8 @@ class VoxelGrid:
     """Discretized radar field with RCS / velocity / count channels.
 
     ``out_of_range`` reports how many points were skipped because they
-    fell outside the grid during voxelization or expansion.
+    fell outside the grid during voxelization or expansion. The fields are
+    read-only: a writeable array is copied, so the caller's stays its own.
     """
 
     spec: GridSpec
@@ -241,29 +249,15 @@ class VoxelGrid:
 
     def __post_init__(self) -> None:
         shape = self.spec.cells
-        rcs = np.asarray(self.rcs, dtype=np.float64)
-        vel = np.asarray(self.vel, dtype=np.float64)
-        count = np.asarray(self.count, dtype=np.int64)
-        for name, arr in (("rcs", rcs), ("vel", vel), ("count", count)):
+        for name, dtype in (("rcs", np.float64), ("vel", np.float64), ("count", np.int64)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             if arr.shape != shape:
                 raise ValueError(f"{name} field shape {arr.shape} != grid {shape}")
-        if np.any(count < 0):
+            if arr.flags.writeable:
+                arr = read_only(arr.copy())
+            object.__setattr__(self, name, arr)
+        if np.any(self.count < 0):
             raise ValueError("count field must be non-negative")
-        for arr in (rcs, vel, count):
-            arr.setflags(write=False)
-        object.__setattr__(self, "rcs", rcs)
-        object.__setattr__(self, "vel", vel)
-        object.__setattr__(self, "count", count)
-
-
-def empty_grid(spec: GridSpec) -> VoxelGrid:
-    shape = spec.cells
-    return VoxelGrid(
-        spec=spec,
-        rcs=np.zeros(shape),
-        vel=np.zeros(shape),
-        count=np.zeros(shape, dtype=np.int64),
-    )
 
 
 def points_in_box_mask(xyz: np.ndarray, box: BoxAnnotation) -> np.ndarray:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GridSpec, PointCloud, Rng, points_in_any_box_mask
+from .core import GridSpec, PointCloud, Rng, is_int, is_real, points_in_any_box_mask
 
 # Severity sampler bounds for sigma-parameterized corruptions.
 SIGMA_RANGE = (1.0, 50.0)
@@ -236,14 +236,16 @@ class CorruptionSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", CorruptionKind(self.kind))
         object.__setattr__(self, "mode", SpuriousMode(self.mode))
-        if self.gamma not in (0, 1):
+        if not is_int(self.seed) or not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
+        if not is_int(self.gamma) or self.gamma not in (0, 1):
             raise ValueError(f"gamma must be 0 or 1, got {self.gamma}")
-        if not 0.0 < self.spurious_ratio <= 1.0:
+        if not is_real(self.spurious_ratio) or not 0.0 < self.spurious_ratio <= 1.0:
             raise ValueError(f"spurious_ratio must lie in (0, 1], got {self.spurious_ratio}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.drop_count < 0:
-            raise ValueError(f"drop_count must be non-negative, got {self.drop_count}")
+        if self.sigma is not None and not (is_real(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not is_int(self.drop_count) or self.drop_count < 0:
+            raise ValueError(f"drop_count must be a non-negative integer, got {self.drop_count}")
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind.value, "seed": self.seed}
@@ -269,8 +271,7 @@ class CorruptionSpec:
             raise ValueError(f"unknown CorruptionSpec fields: {sorted(unknown)}")
         if "kind" not in payload:
             raise ValueError("CorruptionSpec requires a 'kind' field")
-        kwargs = dict(payload)
-        return cls(**kwargs)
+        return cls(**payload)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -300,8 +301,6 @@ def spec_for_level(
     """
     kind = CorruptionKind(kind)
     if kind in SIGMA_KINDS:
-        if not (level > 0 and math.isfinite(level)):
-            raise ValueError(f"{kind.value} levels must be positive and finite, got {level}")
         return CorruptionSpec(
             kind=kind, seed=seed, mode=mode, sigma=level, spurious_ratio=spurious_ratio
         )

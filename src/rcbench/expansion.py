@@ -9,18 +9,17 @@ isolated false positives are diluted.
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, PointCloud, VoxelGrid, empty_grid, freeze_arrays, voxel_indices
+from .core import GridSpec, PointCloud, VoxelGrid, freeze_arrays, read_only, voxel_indices
 
 # Admissible kernel side lengths, in voxels.
 LAMBDA_CHOICES = (1, 3, 5)
+_SIDES = np.array(LAMBDA_CHOICES)
 
 # Exponent modes: the planar form spreads by in-plane distance only,
 # the isotropic form decays in all three axes.
@@ -39,22 +38,29 @@ VOXEL_GRID_MAGIC = b"RCVG"
 VOXEL_GRID_VERSION = 1
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Per-point expansion parameters: kernel side and Gaussian spread.
+def _checked_sigma(sigma) -> np.ndarray:
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if not ((sigma > 0) & np.isfinite(sigma)).all():
+        raise ValueError("sigma must be positive and finite")
+    return sigma
 
-    ``sigma`` is measured in voxel units so kernels are grid-resolution
-    independent in cell space.
+
+def kernel_params(lambda_p, sigma) -> np.recarray:
+    """Per-point expansion parameters as one record array: an int64 kernel
+    side ``lambda_p`` from LAMBDA_CHOICES and a positive, finite float64
+    Gaussian spread ``sigma`` in voxel units, so kernels do not depend on
+    the grid's resolution. The inputs broadcast, scalars give one record,
+    and any other side or sigma raises ``ValueError``.
     """
-
-    lambda_p: int
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.lambda_p not in LAMBDA_CHOICES:
-            raise ValueError(f"lambda_p must be one of {LAMBDA_CHOICES}")
-        if not self.sigma > 0 or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+    sig = np.atleast_1d(_checked_sigma(sigma))
+    lam, sig = np.broadcast_arrays(np.atleast_1d(lambda_p), sig)
+    if lam.ndim != 1:
+        raise ValueError(f"kernel params must be 1-D, got shape {lam.shape}")
+    if not (lam == _SIDES[:, None]).any(axis=0).all():
+        raise ValueError(f"lambda_p must be one of {LAMBDA_CHOICES}")
+    params = np.empty(len(lam), dtype=[("lambda_p", np.int64), ("sigma", np.float64)])
+    params["lambda_p"], params["sigma"] = lam, sig
+    return params.view(np.recarray)
 
 
 @dataclass(frozen=True)
@@ -97,30 +103,29 @@ def load_projector_weights(path) -> ProjectorWeights:
         raise ValueError(f"projector weights file missing block {exc}") from exc
 
 
-def _softplus(x: float) -> float:
-    return float(np.logaddexp(0.0, x))
-
-
-def project_params(rcs: float, v: float, weights: ProjectorWeights) -> KernelParams:
-    """Kernel parameters for one point from the learned projector.
+def project_params(rcs, v, weights: ProjectorWeights) -> np.recarray:
+    """Kernel parameters of each (rcs, v) pair from the learned projector.
 
     The kernel side is the argmax of three size logits mapped onto
     LAMBDA_CHOICES (ties break toward the smallest side), and sigma is
-    softplus(raw) + 0.1 so the spread never collapses to zero.
+    softplus(raw) + 0.1 so the spread never collapses to zero. Each layer
+    is one matrix-vector product per point, stacked, so every point gets
+    the bits it would get on its own.
     """
-    if not (math.isfinite(rcs) and math.isfinite(v)):
+    x = np.column_stack([rcs, v]).astype(np.float64)
+    if not np.all(np.isfinite(x)):
         raise ValueError("projector inputs must be finite")
-    hidden = np.maximum(weights.w1 @ np.array([rcs, v]) + weights.b1, 0.0)
-    out = weights.w2 @ hidden + weights.b2
-    lambda_p = LAMBDA_CHOICES[int(np.argmax(out[:3]))]
-    return KernelParams(lambda_p=lambda_p, sigma=_softplus(out[3]) + SIGMA_FLOOR)
+    hidden = np.maximum((weights.w1 @ x[:, :, None])[:, :, 0] + weights.b1, 0.0)
+    out = (weights.w2 @ hidden[:, :, None])[:, :, 0] + weights.b2
+    lambda_p = _SIDES[np.argmax(out[:, :3], axis=1)]
+    return kernel_params(lambda_p, np.logaddexp(0.0, out[:, 3]) + SIGMA_FLOOR)
 
 
 # The heuristic's three classes, weakest RCS quartile first.
-_HEURISTIC_CLASSES = tuple(KernelParams(lambda_p=lam, sigma=lam / 3.0) for lam in (5, 3, 1))
+_HEURISTIC_CLASSES = kernel_params([5, 3, 1], np.array([5, 3, 1]) / 3.0)
 
 
-def heuristic_kernel_params(cloud: PointCloud) -> list[KernelParams]:
+def heuristic_kernel_params(cloud: PointCloud) -> np.recarray:
     """Training-free parameters from the cloud's RCS quartiles.
 
     Weak returns (likely clutter) get wide kernels that dilute their
@@ -128,58 +133,63 @@ def heuristic_kernel_params(cloud: PointCloud) -> list[KernelParams]:
     sigma is tied to the side as lambda/3.
     """
     if len(cloud) == 0:
-        return []
+        return _HEURISTIC_CLASSES[:0]
     q25, q75 = np.percentile(cloud.rcs, [25.0, 75.0])
-    picks = np.select([cloud.rcs < q25, cloud.rcs < q75], [0, 1], default=2)
-    return [_HEURISTIC_CLASSES[i] for i in picks]
+    return _HEURISTIC_CLASSES[np.select([cloud.rcs < q25, cloud.rcs < q75], [0, 1], default=2)]
 
 
 def kernel_params_for_cloud(
     cloud: PointCloud, weights: ProjectorWeights | None = None
-) -> list[KernelParams]:
+) -> np.recarray:
     """Per-point parameters: learned when weights are given, else heuristic."""
     if weights is None:
         return heuristic_kernel_params(cloud)
-    return [project_params(rcs, v, weights) for rcs, v in zip(cloud.rcs, cloud.v)]
+    return project_params(cloud.rcs, cloud.v, weights)
 
 
-@functools.lru_cache(maxsize=None)
-def _footprint(side: int) -> np.ndarray:
-    """Shared, read-only (side^3, 3) offsets of a side^3 kernel's cells, in C order."""
-    offsets = np.indices((side, side, side)).reshape(3, -1).T - (side - 1) // 2
-    offsets.setflags(write=False)
-    return offsets
+# Shared, read-only (side^3, 3) offsets of a side^3 kernel's cells, in C order.
+_FOOTPRINTS = {
+    s: read_only(np.indices((s, s, s)).reshape(3, -1).T - (s - 1) // 2) for s in LAMBDA_CHOICES
+}
 
 
-def build_kernel(params: KernelParams, exponent_mode: str = PLANAR_XY) -> np.ndarray:
-    """Normalized lambda^3 Gaussian weight cube.
+def build_kernel(side: int, sigma, exponent_mode: str = PLANAR_XY) -> np.ndarray:
+    """Normalized side^3 Gaussian weight cubes, one per sigma.
 
     The unnormalized weight at integer offset (dx, dy, dz) is
     exp(-(dx^2 + dy^2) / (2 sigma^2)) in planar mode, with dz^2 added in
-    isotropic mode; the cube is then divided by its total so it sums to
-    exactly 1.
+    isotropic mode; each cube is then divided by its total so it sums to
+    exactly 1. ``sigma`` is a scalar or a 1-D array, and the result has
+    shape ``np.shape(sigma) + (side, side, side)``.
     """
     if exponent_mode not in EXPONENT_MODES:
         raise ValueError(f"unknown exponent mode: {exponent_mode!r}")
+    if side not in LAMBDA_CHOICES:
+        raise ValueError(f"side must be one of {LAMBDA_CHOICES}, got {side}")
+    sigma = _checked_sigma(sigma)
     axes = 3 if exponent_mode == ISOTROPIC_3D else 2
-    sq = (_footprint(params.lambda_p)[:, :axes].astype(np.float64) ** 2).sum(axis=1)
-    cube = np.exp(-sq / (2.0 * params.sigma**2)).reshape((params.lambda_p,) * 3)
-    return cube / cube.sum()
+    sq = (_FOOTPRINTS[side][:, :axes].astype(np.float64) ** 2).sum(axis=1)
+    # float_power squares with libm pow, as Python's float ** does; sigma * sigma
+    # differs from it in the last bit for about 1 sigma in 1000.
+    cubes = np.exp(-sq / (2.0 * np.float_power(sigma[..., None], 2.0)))
+    cubes /= cubes.sum(axis=-1, keepdims=True)
+    return cubes.reshape(sigma.shape + (side,) * 3)
 
 
 def _deposit(spec: GridSpec, cloud: PointCloud, kernels, which: np.ndarray) -> VoxelGrid:
-    """Deposit point i's RCS/velocity through ``kernels[which[i]]``.
+    """Deposit point i's RCS/velocity through kernel ``which[i]``.
 
-    Each kernel is centered on its point's cell, and footprint cells
-    outside the grid are dropped. The (point, offset) entries go to
-    ``np.add.at`` in point order, so every cell sums its contributions
-    in point order whatever the block size.
+    ``kernels`` is a list of (k, side, side, side) stacks, and kernels are
+    numbered stack after stack. Each kernel is centered on its point's
+    cell, and footprint cells outside the grid are dropped. The (point,
+    offset) entries go to ``np.add.at`` in point order, so every cell sums
+    its contributions in point order whatever the block size.
     """
     mask, ix, iy, iz = voxel_indices(spec, cloud.xyz)
     # One row per kernel cell, kernel after kernel: its offset and weight.
-    offsets = np.concatenate([_footprint(k.shape[0]) for k in kernels])
+    offsets = np.concatenate([np.tile(_FOOTPRINTS[k.shape[-1]], (len(k), 1)) for k in kernels])
     weights = np.concatenate([k.ravel() for k in kernels])
-    sizes = np.array([k.size for k in kernels])
+    sizes = np.concatenate([np.full(len(k), k.shape[-1] ** 3) for k in kernels])
     starts = np.cumsum(sizes) - sizes
     centers = np.column_stack([ix, iy, iz])[mask]
     picks, rcs_in, vel_in = which[mask], cloud.rcs[mask], cloud.v[mask]
@@ -200,7 +210,8 @@ def _deposit(spec: GridSpec, cloud: PointCloud, kernels, which: np.ndarray) -> V
         np.add.at(vel.reshape(-1), flat, w * vel_in[block][point])
     count = np.zeros(shape, dtype=np.int64)
     np.add.at(count, (ix[mask], iy[mask], iz[mask]), 1)
-    return VoxelGrid(spec, rcs, vel, count, out_of_range=int(np.count_nonzero(~mask)))
+    fields = (read_only(rcs), read_only(vel), read_only(count))
+    return VoxelGrid(spec, *fields, out_of_range=int(np.count_nonzero(~mask)))
 
 
 def voxelize(cloud: PointCloud, spec: GridSpec) -> VoxelGrid:
@@ -209,29 +220,29 @@ def voxelize(cloud: PointCloud, spec: GridSpec) -> VoxelGrid:
     Out-of-range points are skipped; their number is reported on the
     returned grid's ``out_of_range`` field.
     """
-    return _deposit(spec, cloud, [np.ones((1, 1, 1))], np.zeros(len(cloud), dtype=np.intp))
+    return _deposit(spec, cloud, [np.ones((1, 1, 1, 1))], np.zeros(len(cloud), dtype=np.intp))
 
 
-def expand(
-    cloud: PointCloud,
-    spec: GridSpec,
-    params_per_point,
-    exponent_mode: str = PLANAR_XY,
-) -> VoxelGrid:
+def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANAR_XY) -> VoxelGrid:
     """Deposit each point's RCS/velocity over its kernel footprint.
 
-    Footprint cells falling outside the grid are clipped and their weight
-    is lost (zero-padding semantics; no border re-normalization), which
-    keeps the operation linear in the input cloud.
+    ``params`` holds one record per point, as ``kernel_params`` builds
+    them. Footprint cells falling outside the grid are clipped and their
+    weight is lost (zero-padding semantics; no border re-normalization),
+    which keeps the operation linear in the input cloud.
     """
-    params_per_point = list(params_per_point)
-    if len(params_per_point) != len(cloud):
-        raise ValueError(f"{len(params_per_point)} kernel params for {len(cloud)} points")
-    if len(cloud) == 0:
-        return empty_grid(spec)
-    index: dict[KernelParams, int] = {}
-    which = np.array([index.setdefault(p, len(index)) for p in params_per_point])
-    kernels = [build_kernel(p, exponent_mode) for p in index]
+    checked = kernel_params(params["lambda_p"], params["sigma"])
+    lam, sig = checked["lambda_p"], checked["sigma"]
+    if len(lam) != len(cloud):
+        raise ValueError(f"{len(lam)} kernel params for {len(cloud)} points")
+    # One kernel per distinct sigma of each side.
+    kernels, which, first = [], np.empty(len(cloud), dtype=np.intp), 0
+    for side in LAMBDA_CHOICES:
+        at = np.flatnonzero(lam == side)
+        sigmas = np.unique(sig[at])
+        which[at] = first + np.searchsorted(sigmas, sig[at])
+        first += len(sigmas)
+        kernels.append(build_kernel(side, sigmas, exponent_mode))
     return _deposit(spec, cloud, kernels, which)
 
 
@@ -241,8 +252,8 @@ def merge_residual(original: VoxelGrid, expanded: VoxelGrid) -> VoxelGrid:
         raise ValueError("cannot merge grids with different specs")
     return VoxelGrid(
         spec=original.spec,
-        rcs=original.rcs + expanded.rcs,
-        vel=original.vel + expanded.vel,
+        rcs=read_only(original.rcs + expanded.rcs),
+        vel=read_only(original.vel + expanded.vel),
         count=original.count,
         out_of_range=original.out_of_range,
     )
@@ -291,13 +302,9 @@ def read_voxel_grid(path) -> VoxelGrid:
         cells=(nx, ny, nz),
     )
     n = nx * ny * nz
-    sizes = (8 * n, 8 * n, 4 * n)
-    if len(raw) != header_size + sum(sizes):
+    if len(raw) != header_size + 20 * n:
         raise ValueError(f"voxel grid payload size mismatch in {path}")
-    offset = header_size
-    rcs = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(nx, ny, nz)
-    offset += sizes[0]
-    vel = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(nx, ny, nz)
-    offset += sizes[1]
-    count = np.frombuffer(raw, dtype="<u4", count=n, offset=offset).reshape(nx, ny, nz)
-    return VoxelGrid(spec=spec, rcs=rcs, vel=vel, count=count.astype(np.int64))
+    # Read-only views of the file's bytes, which VoxelGrid keeps as they are.
+    rcs, vel = np.frombuffer(raw, "<f8", 2 * n, header_size).reshape(2, nx, ny, nz)
+    count = np.frombuffer(raw, "<u4", n, header_size + 16 * n).reshape(nx, ny, nz)
+    return VoxelGrid(spec=spec, rcs=rcs, vel=vel, count=read_only(count.astype(np.int64)))

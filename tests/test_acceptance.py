@@ -44,9 +44,9 @@ from rcbench.expansion import (
     ISOTROPIC_3D,
     LAMBDA_CHOICES,
     PLANAR_XY,
-    KernelParams,
     build_kernel,
     expand,
+    kernel_params,
     kernel_params_for_cloud,
     voxelize,
 )
@@ -211,7 +211,7 @@ def test_criterion_3_kernel_suite():
     for mode in (PLANAR_XY, ISOTROPIC_3D):
         for lam in LAMBDA_CHOICES:
             for sigma in (0.1, 0.5, 1.0, 5.0, 50.0):
-                total = build_kernel(KernelParams(lam, sigma), mode).sum()
+                total = build_kernel(lam, sigma, mode).sum()
                 if abs(total - 1.0) >= 1e-12:
                     ok = False
                     detail = f"kernel sum {total} at lam={lam} sigma={sigma} {mode}"
@@ -225,7 +225,7 @@ def test_criterion_3_kernel_suite():
     ).reshape(800, 5)
     cloud = PointCloud(data=data)
     vox = voxelize(cloud, spec)
-    unit = expand(cloud, spec, [KernelParams(1, 1.0)] * 800, PLANAR_XY)
+    unit = expand(cloud, spec, kernel_params([1] * 800, 1.0), PLANAR_XY)
     if not (
         np.array_equal(vox.rcs, unit.rcs)
         and np.array_equal(vox.vel, unit.vel)

@@ -17,6 +17,7 @@ from rcbench.core import (
     derive64,
     points_in_box_mask,
     read_boxes_csv,
+    read_only,
     read_point_cloud_csv,
     voxel_indices,
     write_boxes_csv,
@@ -172,6 +173,31 @@ class TestTypes:
                 vel=np.zeros((2, 2, 3)),
                 count=np.zeros((2, 2, 2), dtype=np.int64),
             )
+
+    def test_voxel_grid_leaves_caller_arrays_writeable_and_unshared(self):
+        spec = GridSpec(x_range=(0, 1), y_range=(0, 1), z_range=(0, 1), cells=(2, 2, 2))
+        fields = {
+            "rcs": np.zeros((2, 2, 2)),
+            "vel": np.zeros((2, 2, 2)),
+            "count": np.zeros((2, 2, 2), dtype=np.int64),
+        }
+        grid = VoxelGrid(spec=spec, **fields)
+        for name, arr in fields.items():
+            held = getattr(grid, name)
+            assert arr.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(held, arr)
+            arr[0, 0, 0] = 7
+            assert held[0, 0, 0] == 0
+
+    def test_voxel_grid_keeps_read_only_arrays_without_a_copy(self):
+        spec = GridSpec(x_range=(0, 1), y_range=(0, 1), z_range=(0, 1), cells=(2, 2, 2))
+        fields = {
+            "rcs": read_only(np.zeros((2, 2, 2))),
+            "vel": read_only(np.zeros((2, 2, 2))),
+            "count": read_only(np.zeros((2, 2, 2), dtype=np.int64)),
+        }
+        grid = VoxelGrid(spec=spec, **fields)
+        assert all(getattr(grid, name) is arr for name, arr in fields.items())
 
 
 class TestCsvRoundTrip:

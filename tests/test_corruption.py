@@ -287,6 +287,23 @@ class TestCorruptionSpecJson:
         with pytest.raises(ValueError):
             CorruptionSpec.from_json('{"seed": 1}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "BeamDrop", "drop_count": 2.5}',
+            '{"kind": "KeyPointMissing", "drop_count": 1.5}',
+            '{"kind": "KeyPointMissing", "drop_count": 1, "gamma": true}',
+            '{"kind": "PointShifting", "sigma": 1e309}',
+            '{"kind": "PointShifting", "seed": -1}',
+            '{"kind": "PointShifting", "seed": 18446744073709551616}',
+            '{"kind": "SpuriousPoints", "spurious_ratio": true}',
+        ],
+    )
+    def test_bad_values_rejected_when_built(self, text):
+        # Each of these used to build and then fail, or run wrong, at apply time.
+        with pytest.raises(ValueError):
+            CorruptionSpec.from_json(text)
+
     def test_apply_draws_sigma_when_absent(self):
         cloud = random_cloud(50, seed=15)
         spec = CorruptionSpec(kind=CorruptionKind.POINT_SHIFTING, seed=5)

@@ -13,12 +13,12 @@ from rcbench.expansion import (
     ISOTROPIC_3D,
     LAMBDA_CHOICES,
     PLANAR_XY,
-    KernelParams,
     ProjectorWeights,
     bev_project,
     build_kernel,
     expand,
     heuristic_kernel_params,
+    kernel_params,
     kernel_params_for_cloud,
     load_projector_weights,
     merge_residual,
@@ -85,7 +85,7 @@ class TestProjector:
         weights = ProjectorWeights(
             w1=np.zeros((8, 2)), b1=np.zeros(8), w2=np.zeros((4, 8)), b2=np.zeros(4)
         )
-        params = project_params(1.0, 2.0, weights)
+        (params,) = project_params(1.0, 2.0, weights)
         assert params.lambda_p == 1
         assert params.sigma == pytest.approx(math.log(2.0) + 0.1, abs=1e-12)
 
@@ -107,8 +107,8 @@ class TestProjector:
         path = tmp_path / "proj.json"
         save_projector_weights(weights, path)
         loaded = load_projector_weights(path)
-        for rcs, v in gen.uniform(-10, 10, size=(50, 2)):
-            got = project_params(rcs, v, loaded)
+        inputs = gen.uniform(-10, 10, size=(50, 2))
+        for (rcs, v), got in zip(inputs, project_params(inputs[:, 0], inputs[:, 1], loaded)):
             # Straight-line re-evaluation of the two affine layers.
             hidden = [
                 max(sum(weights.w1[i, j] * [rcs, v][j] for j in range(2)) + weights.b1[i], 0.0)
@@ -147,7 +147,7 @@ class TestProjector:
 
 class TestBuildKernel:
     def test_unit_kernel(self):
-        kernel = build_kernel(KernelParams(1, 0.5), PLANAR_XY)
+        kernel = build_kernel(1, 0.5, PLANAR_XY)
         assert kernel.shape == (1, 1, 1)
         assert kernel[0, 0, 0] == 1.0
 
@@ -155,7 +155,7 @@ class TestBuildKernel:
     @pytest.mark.parametrize("lam", LAMBDA_CHOICES)
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 5.0, 50.0])
     def test_normalization(self, mode, lam, sigma):
-        kernel = build_kernel(KernelParams(lam, sigma), mode)
+        kernel = build_kernel(lam, sigma, mode)
         # Independent summation over explicit loops.
         total = 0.0
         for i in range(lam):
@@ -165,23 +165,23 @@ class TestBuildKernel:
         assert abs(total - 1.0) < 1e-12
 
     def test_even_symmetry(self):
-        kernel = build_kernel(KernelParams(3, 0.8), PLANAR_XY)
+        kernel = build_kernel(3, 0.8, PLANAR_XY)
         assert kernel[2, 1, 1] == kernel[0, 1, 1]
         assert kernel[1, 2, 1] == kernel[1, 0, 1]
 
     def test_planar_mode_ignores_z_offset(self):
-        kernel = build_kernel(KernelParams(3, 0.8), PLANAR_XY)
+        kernel = build_kernel(3, 0.8, PLANAR_XY)
         assert kernel[1, 1, 0] == kernel[1, 1, 1] == kernel[1, 1, 2]
 
     def test_isotropic_mode_decays_in_z(self):
-        kernel = build_kernel(KernelParams(3, 0.8), ISOTROPIC_3D)
+        kernel = build_kernel(3, 0.8, ISOTROPIC_3D)
         assert kernel[1, 1, 0] < kernel[1, 1, 1]
 
 
 class TestExpand:
     def test_interior_point_fills_3x3x3_block(self):
         cloud = cloud_from_rows([[4.5, 4.5, 4.5, 2.0, 1.0]])
-        grid = expand(cloud, small_grid(), [KernelParams(3, 1.0)], PLANAR_XY)
+        grid = expand(cloud, small_grid(), kernel_params(3, 1.0), PLANAR_XY)
         nonzero = np.argwhere(grid.rcs != 0)
         assert nonzero.min() == 3 and nonzero.max() == 5
         assert len(nonzero) == 27
@@ -192,7 +192,7 @@ class TestExpand:
             [gen.uniform(0, 8, size=(500, 3)), gen.uniform(-4, 4, size=(500, 2))]
         ).reshape(500, 5)
         cloud = PointCloud(data=data)
-        params = [KernelParams(1, 1.0)] * 500
+        params = kernel_params([1] * 500, 1.0)
         vox = voxelize(cloud, small_grid())
         exp = expand(cloud, small_grid(), params, PLANAR_XY)
         assert np.array_equal(vox.rcs, exp.rcs)
@@ -214,13 +214,13 @@ class TestExpand:
 
     def test_border_clipping_loses_mass(self):
         cloud = cloud_from_rows([[0.5, 0.5, 0.5, 1.0, 0.0]])
-        grid = expand(cloud, small_grid(), [KernelParams(5, 1.0)], ISOTROPIC_3D)
+        grid = expand(cloud, small_grid(), kernel_params(5, 1.0), ISOTROPIC_3D)
         assert grid.rcs.sum() < 1.0
 
     def test_length_mismatch_rejected(self):
         cloud = cloud_from_rows([[1, 1, 1, 1, 0]])
         with pytest.raises(ValueError):
-            expand(cloud, small_grid(), [], PLANAR_XY)
+            expand(cloud, small_grid(), kernel_params([], []), PLANAR_XY)
 
 
 class TestMergeResidual:
@@ -265,7 +265,7 @@ class TestMergeResidual:
         ).reshape(100, 5)
         cloud = PointCloud(data=data)
         vox = voxelize(cloud, small_grid())
-        exp = expand(cloud, small_grid(), [KernelParams(1, 1.0)] * 100, PLANAR_XY)
+        exp = expand(cloud, small_grid(), kernel_params([1] * 100, 1.0), PLANAR_XY)
         merged = merge_residual(vox, exp)
         assert np.array_equal(merged.rcs, 2.0 * vox.rcs)
 
@@ -307,7 +307,7 @@ class TestBevProject:
 @settings(max_examples=80, deadline=None)
 def test_kernel_normalization_property(lam, sigma):
     for mode in (PLANAR_XY, ISOTROPIC_3D):
-        kernel = build_kernel(KernelParams(lam, sigma), mode)
+        kernel = build_kernel(lam, sigma, mode)
         assert abs(kernel.sum() - 1.0) < 1e-12
         assert np.all(kernel >= 0.0)
 
@@ -321,7 +321,7 @@ class TestIdentityDegeneration:
         cloud = PointCloud(data=data)
         spec = small_grid()
         vox = voxelize(cloud, spec)
-        merged = merge_residual(vox, expand(cloud, spec, [KernelParams(1, 0.7)] * 300, PLANAR_XY))
+        merged = merge_residual(vox, expand(cloud, spec, kernel_params([1] * 300, 0.7), PLANAR_XY))
         assert np.array_equal(merged.rcs, 2.0 * vox.rcs)
         assert np.array_equal(merged.vel, 2.0 * vox.vel)
 

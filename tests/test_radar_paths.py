@@ -1,6 +1,8 @@
 """Radar-path tests: the shared deposit routine against a per-point loop
-oracle, one voxelization per cloud per sweep task, bounded Chamfer memory,
-and grid indexing of extreme or out-of-grid coordinates.
+oracle, the kernel-param arrays, batched kernels and batched projector
+against one-at-a-time oracles, one voxelization per cloud per sweep task,
+bounded Chamfer memory, and grid indexing of extreme or out-of-grid
+coordinates.
 """
 
 import dataclasses
@@ -40,12 +42,16 @@ from rcbench.core import (
 from rcbench.corruption import CorruptionKind, apply_corruption
 from rcbench.expansion import (
     EXPONENT_MODES,
-    KernelParams,
+    ISOTROPIC_3D,
+    LAMBDA_CHOICES,
     ProjectorWeights,
     build_kernel,
     expand,
     heuristic_kernel_params,
+    kernel_params,
     kernel_params_for_cloud,
+    merge_residual,
+    project_params,
     save_projector_weights,
     voxelize,
 )
@@ -55,6 +61,15 @@ def small_grid(n=8):
     return GridSpec(x_range=(0.0, 8.0), y_range=(0.0, 8.0), z_range=(0.0, 8.0), cells=(n, n, n))
 
 
+def loop_kernel(side, sigma, exponent_mode):
+    """One kernel on its own: a Python-float sigma and one cube normalized by its sum."""
+    axes = 3 if exponent_mode == ISOTROPIC_3D else 2
+    offsets = np.indices((side, side, side)).reshape(3, -1).T - (side - 1) // 2
+    sq = (offsets[:, :axes].astype(np.float64) ** 2).sum(axis=1)
+    cube = np.exp(-sq / (2.0 * sigma**2)).reshape((side,) * 3)
+    return cube / cube.sum()
+
+
 def loop_expand(cloud, spec, params_per_point, exponent_mode):
     """Per-point reference: add each clipped kernel window to the grid in turn."""
     nx, ny, nz = spec.cells
@@ -62,11 +77,11 @@ def loop_expand(cloud, spec, params_per_point, exponent_mode):
     vel = np.zeros(spec.cells)
     count = np.zeros(spec.cells, dtype=np.int64)
     mask, ixs, iys, izs = voxel_indices(spec, cloud.xyz)
-    for i, params in enumerate(params_per_point):
+    for i, (side, sigma) in enumerate(zip(params_per_point.lambda_p, params_per_point.sigma)):
         if not mask[i]:
             continue
-        kernel = build_kernel(params, exponent_mode)
-        half = (params.lambda_p - 1) // 2
+        kernel = loop_kernel(int(side), float(sigma), exponent_mode)
+        half = (side - 1) // 2
         ix, iy, iz = int(ixs[i]), int(iys[i]), int(izs[i])
         gx0, gx1 = max(ix - half, 0), min(ix + half, nx - 1)
         gy0, gy1 = max(iy - half, 0), min(iy + half, ny - 1)
@@ -96,7 +111,7 @@ def mixed_params(seed, n):
     gen = np.random.default_rng(seed)
     lams = gen.choice([1, 3, 5], size=n)
     sigmas = gen.choice([0.4, 1.0, 1.0 / 3.0, 2.5], size=n)
-    return [KernelParams(int(lam), float(sig)) for lam, sig in zip(lams, sigmas)]
+    return kernel_params(lams, sigmas)
 
 
 def learned_weights(seed):
@@ -151,6 +166,69 @@ class TestDepositOracle:
         got = heuristic_kernel_params(cloud)
         assert [p.lambda_p for p in got] == expected
         assert all(p.sigma == p.lambda_p / 3.0 for p in got)
+
+
+def loop_project(rcs, v, weights):
+    """The projector on one point: two matrix-vector products."""
+    hidden = np.maximum(weights.w1 @ np.array([rcs, v]) + weights.b1, 0.0)
+    out = weights.w2 @ hidden + weights.b2
+    return LAMBDA_CHOICES[int(np.argmax(out[:3]))], float(np.logaddexp(0.0, out[3])) + 0.1
+
+
+class TestKernelParamArrays:
+    def test_batched_kernels_equal_one_at_a_time(self):
+        # The first three sigmas square differently under libm pow and sigma * sigma.
+        pinned = [0.10027544064458081, 0.278728551791814, 5.082199791324082, 1 / 3, 1.0, 5 / 3]
+        sigmas = np.concatenate([pinned, np.random.default_rng(37).uniform(0.1, 6.0, 294)])
+        for mode in EXPONENT_MODES:
+            for side in LAMBDA_CHOICES:
+                batch = build_kernel(side, sigmas, mode)
+                assert batch.shape == (len(sigmas), side, side, side)
+                for sigma, kernel in zip(sigmas, batch):
+                    assert np.array_equal(kernel, loop_kernel(side, float(sigma), mode))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batched_projector_equals_per_point(self, seed):
+        cloud = border_cloud(seed + 40, n=300)
+        weights = learned_weights(seed + 60)
+        got = project_params(cloud.rcs, cloud.v, weights)
+        want = [loop_project(rcs, v, weights) for rcs, v in zip(cloud.rcs, cloud.v)]
+        assert [(int(p.lambda_p), float(p.sigma)) for p in got] == want
+
+    @pytest.mark.parametrize("source", ["heuristic", "learned"])
+    def test_records_name_their_side(self, source):
+        # A kernel-class counter keys each record by f"l{p.lambda_p}".
+        cloud = border_cloud(38)
+        weights = learned_weights(39) if source == "learned" else None
+        labels = [f"l{p.lambda_p}" for p in kernel_params_for_cloud(cloud, weights)]
+        assert len(labels) == len(cloud)
+        assert set(labels) <= {"l1", "l3", "l5"} and len(set(labels)) > 1
+
+    def test_fields_and_broadcasting(self):
+        params = kernel_params([1, 3, 5], 0.5)
+        assert params.dtype.names == ("lambda_p", "sigma")
+        assert params.lambda_p.dtype == np.int64 and params.sigma.dtype == np.float64
+        assert params.lambda_p.tolist() == [1, 3, 5] and params.sigma.tolist() == [0.5] * 3
+        assert len(kernel_params(3, 1.0)) == 1 and len(kernel_params([], [])) == 0
+
+    @pytest.mark.parametrize(
+        "lam, sigma",
+        [(2, 1.0), (3.5, 1.0), (3, 0.0), (3, -1.0), (3, np.nan), (3, np.inf), ([[3]], [[1.0]])],
+    )
+    def test_bad_params_rejected(self, lam, sigma):
+        with pytest.raises(ValueError):
+            kernel_params(lam, sigma)
+
+    def test_expand_checks_the_records(self):
+        cloud = border_cloud(41, n=4)
+        bad = np.zeros(4, dtype=[("lambda_p", np.int64), ("sigma", np.float64)])
+        bad["lambda_p"], bad["sigma"] = [1, 3, 2, 5], 1.0
+        with pytest.raises(ValueError):
+            expand(cloud, small_grid(), bad, EXPONENT_MODES[0])
+
+    def test_merge_keeps_the_original_counts(self):
+        vox = voxelize(border_cloud(42), small_grid())
+        assert merge_residual(vox, vox).count is vox.count
 
 
 def multi_config(**overrides):

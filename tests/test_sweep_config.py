@@ -21,7 +21,13 @@ from rcbench.bench import (
 )
 from rcbench.cli import main
 from rcbench.core import GridSpec
-from rcbench.corruption import SIGMA_KINDS, CorruptionKind, CorruptionSpec, SpuriousMode
+from rcbench.corruption import (
+    SIGMA_KINDS,
+    TARGETED_REMOVAL_CAP,
+    CorruptionKind,
+    CorruptionSpec,
+    SpuriousMode,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -153,14 +159,18 @@ def grid_specs(draw):
 
 
 @st.composite
-def sweep_entries(draw):
-    """Entries whose (kind, level) pairs are all distinct."""
+def sweep_entries(draw, total_beams):
+    """Entries whose (kind, level) pairs are all distinct and whose counts
+    lie within the bounds that hold whatever the scene."""
     entries, seen = [], set()
     for kind in draw(st.lists(st.sampled_from(CorruptionKind), min_size=1, max_size=5)):
+        gamma = draw(st.sampled_from((0, 1)))
         if kind in SIGMA_KINDS:
             level = st.floats(1e-3, 50.0)
+        elif kind is CorruptionKind.BEAM_DROP:
+            level = st.integers(0, total_beams).map(float)
         else:
-            level = st.integers(0, 64).map(float)
+            level = st.integers(1, TARGETED_REMOVAL_CAP if gamma == 1 else 64).map(float)
         levels = []
         for lv in draw(st.lists(level, min_size=1, max_size=3)):
             if (kind, f"{lv:g}") not in seen:
@@ -174,19 +184,20 @@ def sweep_entries(draw):
                 levels=tuple(levels),
                 mode=draw(st.sampled_from(SpuriousMode)),
                 spurious_ratio=draw(st.floats(1e-3, 1.0)),
-                gamma=draw(st.sampled_from((0, 1))),
+                gamma=gamma,
             )
         )
-    return tuple(entries) or default_sweep_config().corruptions
+    return tuple(entries)
 
 
 @st.composite
 def sweep_configs(draw):
     projector = draw(st.sampled_from(("heuristic", "weights-file")))
+    total_beams = draw(st.integers(1, 64))
     return SweepConfig(
         scene=draw(scene_configs()),
         grid=draw(grid_specs()),
-        corruptions=draw(sweep_entries()),
+        corruptions=draw(sweep_entries(total_beams)),
         pipelines=tuple(draw(st.lists(st.sampled_from(PIPELINES), min_size=1, unique=True))),
         projector=projector,
         projector_weights=draw(st.none() | st.text(min_size=1, max_size=12))
@@ -194,7 +205,7 @@ def sweep_configs(draw):
         else draw(st.text(min_size=1, max_size=12)),
         replicates=draw(st.integers(1, 50)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        total_beams=draw(st.integers(1, 64)),
+        total_beams=total_beams,
     )
 
 

@@ -1,5 +1,6 @@
 """What a sweep rejects before any pipeline runs: counts out of range
-whatever the scene, and scenes with no boxes to score.
+whatever the scene, which the config itself rejects, and scenes with no
+boxes to score.
 """
 
 import json
@@ -7,7 +8,7 @@ import json
 import pytest
 
 import rcbench.bench as bench
-from rcbench.bench import SceneConfig, SweepConfig, SweepEntry, run_sweep
+from rcbench.bench import ConfigError, SceneConfig, SweepConfig, SweepEntry, run_sweep
 from rcbench.cli import main
 from rcbench.corruption import TARGETED_REMOVAL_CAP, CorruptionKind
 
@@ -46,6 +47,22 @@ def test_scene_independent_count_bound_is_config_error(tmp_path, capsys, config,
     assert code == 1
     assert "config error" in err and named in err
     assert not report.exists()
+
+
+BAD_ENTRIES = {
+    "beams-above-total": SweepEntry(kind=CorruptionKind.BEAM_DROP, levels=(40,)),
+    "keypoint-zero": SweepEntry(kind=CorruptionKind.KEY_POINT_MISSING, levels=(0,)),
+    "targeted-above-cap": SweepEntry(
+        kind=CorruptionKind.KEY_POINT_MISSING, levels=(TARGETED_REMOVAL_CAP + 1,), gamma=1
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_config_rejects_count_out_of_bounds(entry):
+    # A library caller that builds a config and never runs it is told too.
+    with pytest.raises(ConfigError, match="outside"):
+        SweepConfig(corruptions=(entry,), total_beams=32)
 
 
 def test_beam_count_within_total_runs(tmp_path, capsys):
