@@ -32,6 +32,7 @@ from .expansion import (
     kernel_params_for_cloud,
     merge_residual,
     project_params,
+    residual_bevs,
     voxelize,
 )
 from .imaging import (

@@ -30,8 +30,8 @@ EXPONENT_MODES = (PLANAR_XY, ISOTROPIC_3D)
 PROJECTOR_HIDDEN = 8
 SIGMA_FLOOR = 0.1
 
-# In-range points per np.add.at pass of _deposit: at most 125 (a 5^3
-# footprint) times this many entries are held at once.
+# In-range points per block of _entries: at most 125 (a 5^3 footprint)
+# times this many entries are held at once.
 DEPOSIT_BLOCK_POINTS = 4096
 
 VOXEL_GRID_MAGIC = b"RCVG"
@@ -147,9 +147,10 @@ def kernel_params_for_cloud(
     return project_params(cloud.rcs, cloud.v, weights)
 
 
-# Shared, read-only (side^3, 3) offsets of a side^3 kernel's cells, in C order.
+# Shared, read-only (3, side^3) int8 per-axis offsets of a side^3 kernel's cells, in C order.
 _FOOTPRINTS = {
-    s: read_only(np.indices((s, s, s)).reshape(3, -1).T - (s - 1) // 2) for s in LAMBDA_CHOICES
+    s: read_only(np.indices((s, s, s), np.int8).reshape(3, -1) - (s - 1) // 2)
+    for s in LAMBDA_CHOICES
 }
 
 
@@ -168,7 +169,7 @@ def build_kernel(side: int, sigma, exponent_mode: str = PLANAR_XY) -> np.ndarray
         raise ValueError(f"side must be one of {LAMBDA_CHOICES}, got {side}")
     sigma = _checked_sigma(sigma)
     axes = 3 if exponent_mode == ISOTROPIC_3D else 2
-    sq = (_FOOTPRINTS[side][:, :axes].astype(np.float64) ** 2).sum(axis=1)
+    sq = (_FOOTPRINTS[side][:axes].astype(np.float64) ** 2).sum(axis=0)
     # float_power squares with libm pow, as Python's float ** does; sigma * sigma
     # differs from it in the last bit for about 1 sigma in 1000.
     cubes = np.exp(-sq / (2.0 * np.float_power(sigma[..., None], 2.0)))
@@ -176,51 +177,65 @@ def build_kernel(side: int, sigma, exponent_mode: str = PLANAR_XY) -> np.ndarray
     return cubes.reshape(sigma.shape + (side,) * 3)
 
 
-def _deposit(spec: GridSpec, cloud: PointCloud, kernels, which: np.ndarray) -> VoxelGrid:
-    """Deposit point i's RCS/velocity through kernel ``which[i]``.
+def _entries(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray):
+    """Yield ``(flat cell, weight, point)`` blocks of DEPOSIT_BLOCK_POINTS
+    points, for point i's kernel ``which[i]`` centered on ``cells[:, i]``.
 
-    ``kernels`` is a list of (k, side, side, side) stacks, and kernels are
-    numbered stack after stack. Each kernel is centered on its point's
-    cell, and footprint cells outside the grid are dropped. The (point,
-    offset) entries go to ``np.add.at`` in point order, so every cell sums
-    its contributions in point order whatever the block size.
+    ``kernels`` is a list of (k, side, side, side) stacks, numbered stack
+    after stack. Cells outside the grid are dropped, and entries come in
+    point order, each kernel's in C order.
     """
-    mask, ix, iy, iz = voxel_indices(spec, cloud.xyz)
-    # One row per kernel cell, kernel after kernel: its offset and weight.
-    offsets = np.concatenate([np.tile(_FOOTPRINTS[k.shape[-1]], (len(k), 1)) for k in kernels])
+    # One column per kernel cell, kernel after kernel: its per-axis offsets and weight.
+    offsets = np.concatenate([np.tile(_FOOTPRINTS[k.shape[-1]], len(k)) for k in kernels], axis=1)
     weights = np.concatenate([k.ravel() for k in kernels])
     sizes = np.concatenate([np.full(len(k), k.shape[-1] ** 3) for k in kernels])
     starts = np.cumsum(sizes) - sizes
-    centers = np.column_stack([ix, iy, iz])[mask]
-    picks, rcs_in, vel_in = which[mask], cloud.rcs[mask], cloud.v[mask]
-    shape = spec.cells
-    rcs = np.zeros(shape)
-    vel = np.zeros(shape)
-    for lo in range(0, len(centers), DEPOSIT_BLOCK_POINTS):
-        block = slice(lo, lo + DEPOSIT_BLOCK_POINTS)
-        n = sizes[picks[block]]
-        # Entry j of a point reads row starts[its kernel] + j of the table.
-        point = np.repeat(np.arange(len(n)), n)
-        row = np.arange(len(point)) + np.repeat(starts[picks[block]] - np.cumsum(n) + n, n)
-        cells = centers[block][point] + offsets[row]
-        inside = np.all((cells >= 0) & (cells < shape), axis=1)
-        flat = np.ravel_multi_index(cells[inside].T, shape)
-        point, w = point[inside], weights[row[inside]]
-        np.add.at(rcs.reshape(-1), flat, w * rcs_in[block][point])
-        np.add.at(vel.reshape(-1), flat, w * vel_in[block][point])
-    count = np.zeros(shape, dtype=np.int64)
-    np.add.at(count, (ix[mask], iy[mask], iz[mask]), 1)
-    fields = (read_only(rcs), read_only(vel), read_only(count))
-    return VoxelGrid(spec, *fields, out_of_range=int(np.count_nonzero(~mask)))
+    nx, ny, nz = spec.cells
+    for lo in range(0, len(which), DEPOSIT_BLOCK_POINTS):
+        picks = which[lo : lo + DEPOSIT_BLOCK_POINTS]
+        n = sizes[picks]
+        first = np.cumsum(n) - n
+        point = np.repeat(np.arange(lo, lo + len(n)), n)
+        # Cell j of a point's kernel is column starts[kernel] + j of the table.
+        row = np.arange(first[-1] + n[-1]) + np.repeat(starts[picks] - first, n)
+        x, y, z = (c[point] + d[row] for c, d in zip(cells, offsets))
+        # A negative index reads as a huge unsigned one, so one compare bounds each axis.
+        inside = (x.view(np.uint64) < nx) & (y.view(np.uint64) < ny) & (z.view(np.uint64) < nz)
+        yield ((x * ny + y) * nz + z)[inside], weights[row[inside]], point[inside]
+
+
+def _summed(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray, *values):
+    """Flat grids spreading each of ``values`` through the entries, and the
+    (x, y) columns they touch. ``np.add.at`` takes the entries in point
+    order, so every cell sums in point order whatever the block size."""
+    nx, ny, nz = spec.cells
+    sums, touched = np.zeros((len(values), nx * ny * nz)), np.zeros(nx * ny, dtype=bool)
+    for flat, w, point in _entries(spec, cells, kernels, which):
+        for total, v in zip(sums, values):
+            np.add.at(total, flat, w * v[point])
+        touched[flat // nz] = True
+    return sums, touched
 
 
 def voxelize(cloud: PointCloud, spec: GridSpec) -> VoxelGrid:
-    """Bin points into the grid, accumulating RCS/velocity sums and counts.
+    """Bin points into the grid, accumulating RCS/velocity sums and counts:
+    the expansion with a unit kernel per point, whose weight is exactly 1.
 
     Out-of-range points are skipped; their number is reported on the
     returned grid's ``out_of_range`` field.
     """
-    return _deposit(spec, cloud, [np.ones((1, 1, 1, 1))], np.zeros(len(cloud), dtype=np.intp))
+    return expand(cloud, spec, kernel_params(1, np.ones(len(cloud))))
+
+
+def _kernel_groups(params, n: int):
+    """Check one record per point of an n-point cloud, and number one kernel
+    per distinct sigma of each side: ``(which, [(side, sigmas), ...])``."""
+    checked = kernel_params(params["lambda_p"], params["sigma"])
+    if len(checked) != n:
+        raise ValueError(f"{len(checked)} kernel params for {n} points")
+    # Complex numbers sort by real part first, so kernels go side after side.
+    kinds, which = np.unique(checked["lambda_p"] + 1j * checked["sigma"], return_inverse=True)
+    return which, [(side, kinds.imag[kinds.real == side]) for side in LAMBDA_CHOICES]
 
 
 def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANAR_XY) -> VoxelGrid:
@@ -231,19 +246,39 @@ def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANA
     weight is lost (zero-padding semantics; no border re-normalization),
     which keeps the operation linear in the input cloud.
     """
-    checked = kernel_params(params["lambda_p"], params["sigma"])
-    lam, sig = checked["lambda_p"], checked["sigma"]
-    if len(lam) != len(cloud):
-        raise ValueError(f"{len(lam)} kernel params for {len(cloud)} points")
-    # One kernel per distinct sigma of each side.
-    kernels, which, first = [], np.empty(len(cloud), dtype=np.intp), 0
-    for side in LAMBDA_CHOICES:
-        at = np.flatnonzero(lam == side)
-        sigmas = np.unique(sig[at])
-        which[at] = first + np.searchsorted(sigmas, sig[at])
-        first += len(sigmas)
-        kernels.append(build_kernel(side, sigmas, exponent_mode))
-    return _deposit(spec, cloud, kernels, which)
+    which, groups = _kernel_groups(params, len(cloud))
+    kernels = [build_kernel(side, sigmas, exponent_mode) for side, sigmas in groups]
+    mask, *cells = voxel_indices(spec, cloud.xyz)
+    cells = np.stack(cells)[:, mask]
+    sums, _ = _summed(spec, cells, kernels, which[mask], cloud.rcs[mask], cloud.v[mask])
+    rcs, vel = sums.reshape(2, *spec.cells)
+    count = np.zeros(spec.cells, dtype=np.int64)
+    np.add.at(count, tuple(cells), 1)
+    fields = (read_only(rcs), read_only(vel), read_only(count))
+    return VoxelGrid(spec, *fields, out_of_range=int(np.count_nonzero(~mask)))
+
+
+def residual_bevs(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> list[np.ndarray]:
+    """``bev_project`` of ``voxelize``, then of ``merge_residual`` with each
+    mode's ``expand``, bit for bit; ``params`` is unused with no modes. Each
+    grid sums only RCS, and only the (x, y) columns entries touch are reduced.
+    """
+    mask, *cells = voxel_indices(spec, cloud.xyz)
+    cells, rcs_in = np.stack(cells)[:, mask], cloud.rcs[mask]
+    which, groups = _kernel_groups(params, len(cloud)) if exponent_modes else (None, [])
+    sums = [_summed(spec, cells, [np.ones((1, 1, 1, 1))], np.zeros(len(rcs_in), np.intp), rcs_in)]
+    for mode in exponent_modes:
+        kernels = [build_kernel(side, sigmas, mode) for side, sigmas in groups]
+        sums.append(_summed(spec, cells, kernels, which[mask], rcs_in))
+    nx, ny, nz = spec.cells
+    cols = np.flatnonzero(np.any([touched for _, touched in sums], axis=0))
+    raw, *expanded = (rcs.reshape(nx * ny, nz)[cols] for (rcs,), _ in sums)
+    bevs = []
+    for merged in [raw] + [raw + e for e in expanded]:
+        bev = np.zeros(nx * ny)
+        bev[cols] = np.abs(merged).sum(axis=1)
+        bevs.append(bev.reshape(nx, ny))
+    return bevs
 
 
 def merge_residual(original: VoxelGrid, expanded: VoxelGrid) -> VoxelGrid:

@@ -1,8 +1,9 @@
-"""Radar-path tests: the shared deposit routine against a per-point loop
+"""Radar-path tests: the shared entry builder against a per-point loop
 oracle, the kernel-param arrays, batched kernels and batched projector
-against one-at-a-time oracles, one voxelization per cloud per sweep task,
-bounded Chamfer memory, and grid indexing of extreme or out-of-grid
-coordinates.
+against one-at-a-time oracles, one binning per cloud and one box mask per
+sweep task, the sweep's BEVs from the entries against the dense-grid
+pipeline, bounded Chamfer and BEV memory, and grid indexing of extreme or
+out-of-grid coordinates.
 """
 
 import dataclasses
@@ -29,6 +30,7 @@ from rcbench.bench import (
     metric_snr,
     pipeline_bev,
     run_sweep,
+    scripted_scene,
 )
 from rcbench.core import (
     GridSpec,
@@ -44,7 +46,9 @@ from rcbench.expansion import (
     EXPONENT_MODES,
     ISOTROPIC_3D,
     LAMBDA_CHOICES,
+    PLANAR_XY,
     ProjectorWeights,
+    bev_project,
     build_kernel,
     expand,
     heuristic_kernel_params,
@@ -327,19 +331,113 @@ class TestOneVoxelizationPerCloud:
         assert_sweep_matches_per_row(cfg, weights)
 
     def test_each_cloud_voxelized_once_and_chamfer_once_per_task(self, monkeypatch):
-        calls = {"voxelize": 0, "metric_chamfer": 0}
-        for name in calls:
-            original = getattr(bench, name)
+        # The sweep bins a cloud with voxel_indices, once for all its pipelines.
+        calls = {"voxel_indices": 0, "metric_chamfer": 0}
+        for module, name in ((expansion, "voxel_indices"), (bench, "metric_chamfer")):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(bench, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cfg = multi_config()
         tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
         run_sweep(cfg)
-        assert calls == {"voxelize": 2 * tasks, "metric_chamfer": tasks}
+        assert calls == {"voxel_indices": 2 * tasks, "metric_chamfer": tasks}
+
+    def test_box_mask_built_once_per_task(self):
+        bench._planar_box_mask.cache_clear()
+        cfg = multi_config()
+        tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
+        run_sweep(cfg)
+        info = bench._planar_box_mask.cache_info()
+        # The early box check builds it; metric_snr, once per pipeline, reuses it.
+        assert (info.misses, info.hits) == (tasks, tasks * len(cfg.pipelines))
+
+    def test_box_mask_is_read_only_and_boxes_may_be_a_list(self):
+        scene = gen_scene(SceneConfig(cluster_count=2), default_grid(), Rng(92))
+        bev = pipeline_bev(scene.cloud, default_grid(), "raw")
+        mask = bench._planar_box_mask(bev.shape, scene.boxes, default_grid())
+        assert not mask.flags.writeable and mask.any()
+        snr = metric_snr(bev, scene.boxes, default_grid())
+        assert metric_snr(bev, list(scene.boxes), default_grid()) == snr
+        assert metric_snr(bev, scene.boxes[:1], default_grid()) != snr
+
+
+def dense_cloud(seed):
+    """The sweep-dense scene: ten 200-point clusters and 1000 clutter points."""
+    cfg = SceneConfig(cluster_count=10, points_per_cluster=200, noise_points=1000)
+    return gen_scene(cfg, default_grid(), Rng(seed)).cloud
+
+
+def uniform_cloud(seed, n):
+    """Points over the default grid, some past its z-range."""
+    gen = np.random.default_rng(seed)
+    xyz = gen.uniform([-51.2, -51.2, -5.5], [51.2, 51.2, 3.5], size=(n, 3))
+    return PointCloud(data=np.column_stack([xyz, gen.uniform(-5, 20, (n, 2))]))
+
+
+def oracle_bevs(cloud, spec, weights):
+    """Each pipeline's BEV from dense grids: voxelize, expand, merge, project."""
+    base = voxelize(cloud, spec)
+    params = kernel_params_for_cloud(cloud, weights)
+    bevs = {"raw": bev_project(base)}
+    for pipeline, mode in (("3dge_planar", PLANAR_XY), ("3dge_isotropic", ISOTROPIC_3D)):
+        bevs[pipeline] = bev_project(merge_residual(base, expand(cloud, spec, params, mode)))
+    return bevs
+
+
+ORACLE_CLOUDS = {
+    **{f"scripted-{seed}": (lambda seed=seed: scripted_scene(seed).cloud) for seed in range(20)},
+    "dense": lambda: dense_cloud(93),
+    "border": lambda: border_cloud(94),
+    "empty": lambda: PointCloud(data=np.empty((0, 5))),
+    "outside": lambda: PointCloud(data=border_cloud(95).data + [9.5, 0, 0, 0, 0]),
+}
+
+
+class TestBevsFromEntries:
+    @pytest.mark.parametrize("source", ["heuristic", "learned"])
+    @pytest.mark.parametrize("name", ORACLE_CLOUDS)
+    def test_bytes_equal_dense_grid_pipeline(self, name, source):
+        cloud = ORACLE_CLOUDS[name]()
+        spec = small_grid() if name in ("border", "outside") else default_grid()
+        weights = learned_weights(96) if source == "learned" else None
+        want = oracle_bevs(cloud, spec, weights)
+        got = bench._pipeline_bevs(cloud, spec, PIPELINES, weights)
+        assert got.keys() == want.keys()
+        for pipeline, bev in got.items():
+            assert bev.shape == spec.cells[:2] and bev.dtype == np.float64
+            assert bev.tobytes() == want[pipeline].tobytes(), pipeline
+        for pipeline in PIPELINES:
+            alone = pipeline_bev(cloud, spec, pipeline, weights)
+            assert alone.tobytes() == want[pipeline].tobytes(), pipeline
+        if name == "outside":
+            assert voxelize(cloud, spec).out_of_range == len(cloud) and not any(
+                bev.any() for bev in got.values()
+            )
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_does_not_change_the_bevs(self, monkeypatch, block):
+        cloud = border_cloud(97, n=150)
+        whole = bench._pipeline_bevs(cloud, small_grid(), PIPELINES, None)
+        monkeypatch.setattr(expansion, "DEPOSIT_BLOCK_POINTS", block)
+        blocked = bench._pipeline_bevs(cloud, small_grid(), PIPELINES, None)
+        for pipeline in PIPELINES:
+            assert blocked[pipeline].tobytes() == whole[pipeline].tobytes()
+
+    def test_peak_memory_bounded_at_100k_points(self):
+        cloud = uniform_cloud(98, 100_000)
+        tracemalloc.start()
+        try:
+            bench._pipeline_bevs(cloud, default_grid(), PIPELINES, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The dense-grid pipeline (voxelize, expand, merge, project) peaked at
+        # 37.2 MiB on this cloud; entry blocks and RCS-only sums must stay below.
+        assert peak < 32 * 2**20
 
 
 class TestChamferBlocks:

@@ -8,6 +8,7 @@ import json
 import pytest
 
 import rcbench.bench as bench
+import rcbench.expansion as expansion
 from rcbench.bench import ConfigError, SceneConfig, SweepConfig, SweepEntry, run_sweep
 from rcbench.cli import main
 from rcbench.corruption import TARGETED_REMOVAL_CAP, CorruptionKind
@@ -82,14 +83,15 @@ def test_scene_dependent_count_stays_a_row_error(tmp_path, capsys):
 
 
 def test_no_box_scene_fails_before_any_pipeline(monkeypatch):
-    calls = {"voxelize": 0}
-    original = bench.voxelize
+    # Every pipeline bins the cloud with voxel_indices first.
+    calls = {"voxel_indices": 0}
+    original = expansion.voxel_indices
 
     def counted(*args, **kwargs):
-        calls["voxelize"] += 1
+        calls["voxel_indices"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(bench, "voxelize", counted)
+    monkeypatch.setattr(expansion, "voxel_indices", counted)
     cfg = SweepConfig(
         scene=SceneConfig(cluster_count=0),
         corruptions=(SweepEntry(kind=CorruptionKind.POINT_SHIFTING, levels=(1.0,)),),
@@ -97,6 +99,6 @@ def test_no_box_scene_fails_before_any_pipeline(monkeypatch):
         replicates=3,
     )
     rows, _ = run_sweep(cfg)
-    assert calls["voxelize"] == 0
+    assert calls["voxel_indices"] == 0
     assert len(rows) == 9
     assert {row.error for row in rows} == {"ValueError: metric_snr requires at least one box"}
