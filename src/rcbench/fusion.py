@@ -348,10 +348,13 @@ def deform_cross_attention_jvp(q, dq, v, dv, params: DeformAttnParams):
         for p in range(points):
             for k, idx in enumerate(corners):
                 sample = np.take(v_heads[h], idx[h, p], axis=1)
-                out[h] += weights[k][h, p] * sample
                 if dq is not None:
                     dsample = np.take(dv_heads[h], idx[h, p], axis=1)
-                    dout[h] += dweights[k][h, p] * sample + weights[k][h, p] * dsample
+                    dsample *= weights[k][h, p]
+                    dsample += dweights[k][h, p] * sample
+                    dout[h] += dsample
+                sample *= weights[k][h, p]
+                out[h] += sample
 
     cat = out.reshape(cv, height, width)
     dcat = None if dq is None else dout.reshape(cv, height, width)
@@ -359,13 +362,23 @@ def deform_cross_attention_jvp(q, dq, v, dv, params: DeformAttnParams):
 
 
 def _conv3_raw(x, taps):
-    _, height, width = x.shape
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros((taps.shape[2], height, width))
+    # Flat-shift form: tap (ky, kx) is a strided view of the zero-margined
+    # flat input from pixel (ky - 1) * width + (kx - 1) on, in the shape and
+    # column order of a per-tap window copy, so BLAS rounds it the same way.
+    # Taps kx = 0 and 2 read copies with the column a row wraps into zeroed.
+    c, height, width = x.shape
+    n, margin = height * width, width + 1
+    flat = np.empty((3, c, n + 2 * margin))
+    flat[:, :, :margin] = flat[:, :, margin + n :] = 0.0
+    body = flat[:, :, margin : margin + n].reshape(3, c, height, width)
+    body[...] = x
+    body[0, :, :, -1] = body[2, :, :, 0] = 0.0
+    out = np.zeros((taps.shape[2], n))
     for ky in range(3):
         for kx in range(3):
-            out += _mm(taps[ky, kx], padded[:, ky : ky + height, kx : kx + width])
-    return out
+            s = ky * width + kx
+            out += taps[ky, kx] @ flat[kx, :, s : s + n]
+    return out.reshape(-1, height, width)
 
 
 def conv_merge_jvp(x, dx, params: ConvParams):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng
+from .core import Rng, read_only
 
 # Gamma bands for the two low-light severities.
 GAMMA_MILD_RANGE = (1.0, 2.0)
@@ -46,8 +46,7 @@ class ImagePlane:
             raise ValueError("image must have positive dimensions")
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("image samples must lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", read_only(arr))
 
     @property
     def height(self) -> int:
@@ -69,17 +68,13 @@ class DegradationMap:
         if self.kind not in WEATHER_KINDS:
             raise ValueError(f"unknown weather kind: {self.kind!r}")
         arr = np.array(self.data, dtype=np.float64, copy=True)
-        if arr.ndim == 2:
-            pass
-        elif arr.ndim == 3 and arr.shape[2] in (1, 3):
-            if arr.shape[2] == 1:
-                arr = arr[:, :, 0]
-        else:
+        if arr.ndim == 3 and arr.shape[2] == 1:
+            arr = arr[:, :, 0]
+        if arr.ndim != 2 and (arr.ndim != 3 or arr.shape[2] != 3):
             raise ValueError(f"map must be (h, w) or (h, w, 1|3), got {arr.shape}")
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("map samples must lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", read_only(arr))
 
     @property
     def height(self) -> int:
@@ -90,13 +85,39 @@ class DegradationMap:
         return self.data.shape[1]
 
 
+def _bound_plane(arr: np.ndarray) -> ImagePlane:
+    """Wrap a fresh array bound to [0, 1] by construction: no copy, no scan."""
+    plane = object.__new__(ImagePlane)
+    object.__setattr__(plane, "data", read_only(arr))
+    return plane
+
+
 def gamma_lowlight(img: ImagePlane, gamma: float) -> ImagePlane:
     """Classic gamma darkening: every sample is raised to ``gamma``."""
     if not gamma > 0 or not math.isfinite(gamma):
         raise ValueError(f"gamma must be positive, got {gamma}")
     if gamma == 1.0:
         return img
-    return ImagePlane(np.power(img.data, gamma))
+    return _bound_plane(np.power(img.data, gamma))
+
+
+def _weather_blend(deg_map: DegradationMap, parameter: float, atmosphere: float):
+    """Per-frame ``composite_weather`` at map strength ``parameter``."""
+    if not 0.0 <= atmosphere <= 1.0:
+        raise ValueError(f"atmosphere must lie in [0, 1], got {atmosphere}")
+    # The two operands are built once, full-shape, so each frame's loops are long.
+    dims = deg_map.data.shape[:2]
+    m = np.broadcast_to(deg_map.data.reshape(*dims, -1) * parameter, (*dims, 3))
+    keep, add = 1.0 - m, atmosphere * m
+
+    def blend(img: ImagePlane) -> ImagePlane:
+        if dims != img.data.shape[:2]:
+            raise ValueError(f"map dims {dims} != image dims {img.data.shape[:2]}")
+        out = img.data * keep
+        out += add
+        return _bound_plane(np.clip(out, 0.0, 1.0, out=out))
+
+    return blend
 
 
 def composite_weather(
@@ -107,18 +128,7 @@ def composite_weather(
     out = img * (1 - map) + atmosphere * map, clamped to [0, 1].
     Single-channel maps broadcast across the three image channels.
     """
-    if not 0.0 <= atmosphere <= 1.0:
-        raise ValueError(f"atmosphere must lie in [0, 1], got {atmosphere}")
-    if (deg_map.height, deg_map.width) != (img.height, img.width):
-        raise ValueError(
-            f"map dims {(deg_map.height, deg_map.width)} != "
-            f"image dims {(img.height, img.width)}"
-        )
-    m = deg_map.data
-    if m.ndim == 2:
-        m = m[:, :, None]
-    out = img.data * (1.0 - m) + atmosphere * m
-    return ImagePlane(np.clip(out, 0.0, 1.0))
+    return _weather_blend(deg_map, 1.0, atmosphere)(img)
 
 
 @dataclass(frozen=True)
@@ -167,17 +177,6 @@ def sample_degradation(spec: DegradationSpec, rng: Rng) -> tuple[str, str, float
     return kind, level, WEATHER_LEVEL_STRENGTH[level]
 
 
-def apply_degradation(
-    img: ImagePlane, spec: DegradationSpec, kind: str, parameter: float
-) -> ImagePlane:
-    if kind == "lowlight":
-        return gamma_lowlight(img, parameter)
-    deg_map = spec.maps[kind]
-    if parameter != 1.0:
-        deg_map = DegradationMap(deg_map.data * parameter, kind=deg_map.kind)
-    return composite_weather(img, deg_map, spec.atmosphere_for(kind))
-
-
 def same_timestamp_consistency(frames, spec: DegradationSpec) -> list[ImagePlane]:
     """Degrade all frames of one timestamp with a single sampled setting.
 
@@ -188,7 +187,10 @@ def same_timestamp_consistency(frames, spec: DegradationSpec) -> list[ImagePlane
     if not frames:
         raise ValueError("at least one frame is required")
     kind, _, parameter = sample_degradation(spec, Rng(spec.seed, stream=0))
-    return [apply_degradation(frame, spec, kind, parameter) for frame in frames]
+    if kind == "lowlight":
+        return [gamma_lowlight(frame, parameter) for frame in frames]
+    blend = _weather_blend(spec.maps[kind], parameter, spec.atmosphere_for(kind))
+    return [blend(frame) for frame in frames]
 
 
 def _read_pnm_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
