@@ -8,7 +8,6 @@ inputs and the supplied random stream.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -272,16 +271,6 @@ class CorruptionSpec:
         if "kind" not in payload:
             raise ValueError("CorruptionSpec requires a 'kind' field")
         return cls(**payload)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CorruptionSpec":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("CorruptionSpec JSON must be an object")
-        return cls.from_json_dict(payload)
 
 
 def spec_for_level(

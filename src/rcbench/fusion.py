@@ -12,7 +12,10 @@ seeded randomly.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import get_type_hints
 
 import numpy as np
@@ -25,6 +28,11 @@ DEFAULT_POINTS = 2
 CONFIDENCE_HIDDEN = 16
 # Confidence stays strictly inside (0, 1) even for saturating logits.
 CONFIDENCE_CLAMP = 1e-15
+# Value channels gathered per attention step: a head's 16 channels in pairs
+# keep one step's samples in L2.
+_VALUE_BLOCK = 2
+# Bilinear corners as (row, column) picks of (floor, floor + 1).
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 FUSION_PARAMS_MAGIC = b"CMCA"
 FUSION_PARAMS_VERSION = 1
@@ -261,17 +269,26 @@ def layer_norm_jvp(x, dx, params: LayerNormParams):
     var = np.mean(xc * xc, axis=0)
     inv = 1.0 / np.sqrt(var + LN_EPSILON)
     scale = params.scale[:, None, None]
-    y = scale * (xc * inv) + params.shift[:, None, None]
+    # In place, with the operands of each product and sum kept, so the bits
+    # are those of scale * (xc * inv) + shift and its tangent.
+    y = xc * inv
+    y *= scale
+    y += params.shift[:, None, None]
     if dx is None:
         return y, None
     dxc = dx - dx.mean(axis=0)
     dvar = 2.0 * np.mean(xc * dxc, axis=0)
     dinv = -0.5 * inv**3 * dvar
-    return y, scale * (dxc * inv + xc * dinv)
+    dxc *= inv
+    xc *= dinv
+    dxc += xc
+    dxc *= scale
+    return y, dxc
 
 
 def _cellwise_affine(x, dx, w, b):
-    y = _mm(w, x) + b[:, None, None]
+    y = _mm(w, x)
+    y += b[:, None, None]
     return y, None if dx is None else _mm(w, dx)
 
 
@@ -290,75 +307,137 @@ def confidence_map_jvp(x, dx, params: ConfidenceMlpParams):
     return m, np.where((m_raw > lo) & (m_raw < hi), dm, 0.0)
 
 
-def deform_cross_attention_jvp(q, dq, v, dv, params: DeformAttnParams):
-    heads, points = params.heads, params.points
-    _, height, width = q.shape
-    cv = v.shape[0]
-    if cv != params.value_channels:
-        raise ValueError(
-            f"value has {cv} channels, parameters expect {params.value_channels}"
-        )
-    dv_head = cv // heads
+def _value_blocks(flat, dflat, heads: int):
+    """Per head, ``(channels, rows, tangent rows)`` blocks of at most
+    ``_VALUE_BLOCK`` value channels, each a view into one part."""
+    starts = [0, *accumulate(len(part) for part in flat)]
+    cv = starts[-1]
+    per_head = cv // heads
+    cuts = sorted({*range(0, cv, _VALUE_BLOCK), *range(0, cv, per_head), *starts})
+    blocks = [[] for _ in range(heads)]
+    for c0, c1 in zip(cuts, cuts[1:]):
+        i = bisect_right(starts, c0) - 1
+        rows = slice(c0 - starts[i], c1 - starts[i])
+        drows = None if dflat is None else dflat[i][rows]
+        blocks[c0 // per_head].append((slice(c0, c1), flat[i][rows], drows))
+    return blocks
 
-    off = _mm(params.offset_w, q) + params.offset_b[:, :, None, None]
-    off = off.reshape(heads, points, 2, height, width)
-    logits = _mm(params.weight_w, q) + params.weight_b[:, :, None, None]
-    expl = np.exp(logits - logits.max(axis=1, keepdims=True))
-    attn = expl / expl.sum(axis=1, keepdims=True)
 
-    cols = np.arange(width, dtype=np.float64)[None, None, None, :]
-    rows = np.arange(height, dtype=np.float64)[None, None, :, None]
-    px_raw = cols + off[:, :, 0]
-    py_raw = rows + off[:, :, 1]
+def _corner_weights(off, logits, doff, dlogits, corners, weights, dweights):
+    """One head's sampling set-up on ``(points, H, W)`` slices.
+
+    Writes, per corner (y0, x0), (y0, x1), (y1, x0), (y1, x1), the flat
+    ``row * width + col`` index into ``corners`` and the attention times
+    its two bilinear factors into ``weights``; with a tangent (``doff`` not
+    ``None``), that weight's tangent into ``dweights``. Its temporaries die
+    on return, so no two heads' set-ups are alive at once.
+    """
+    _, _, height, width = off.shape
+    expl = np.exp(logits - logits.max(axis=0, keepdims=True))
+    attn = expl / expl.sum(axis=0, keepdims=True)
+    px_raw = np.arange(width, dtype=np.float64) + off[:, 0]
+    py_raw = np.arange(height, dtype=np.float64)[:, None] + off[:, 1]
     px = np.clip(px_raw, 0.0, width - 1.0)
     py = np.clip(py_raw, 0.0, height - 1.0)
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     fx = px - x0
     fy = py - y0
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
-    # Corners (y0, x0), (y0, x1), (y1, x0), (y1, x1) as flat row * width + col
-    # indices, each weighted by attention times its two bilinear factors.
+    xs = (x0, np.minimum(x0 + 1, width - 1))
+    ys = (y0, np.minimum(y0 + 1, height - 1))
     wx, wy = (1 - fx, fx), (1 - fy, fy)
-    pairs = [(a, b) for a in (0, 1) for b in (0, 1)]
-    corners = [(y0, y1)[a] * width + (x0, x1)[b] for a, b in pairs]
-    weights = [attn * wy[a] * wx[b] for a, b in pairs]
+    # Python multiplies left to right, so attn * wy[a] * wx[b] shares its
+    # first product between the two corners of a row.
+    row_w = [attn * wy[a] for a in (0, 1)]
+    for k, (a, b) in enumerate(_CORNERS):
+        np.add(ys[a] * width, xs[b], out=corners[k])
+        np.multiply(row_w[a], wx[b], out=weights[k])
+    if doff is None:
+        return
+    dattn = attn * (dlogits - (attn * dlogits).sum(axis=0, keepdims=True))
+    # Sampling clamps to the border; the position tangent dies there.
+    dpx = doff[:, 0] * ((px_raw > 0.0) & (px_raw < width - 1.0))
+    dpy = doff[:, 1] * ((py_raw > 0.0) & (py_raw < height - 1.0))
+    dwx, dwy = (-dpx, dpx), (-dpy, dpy)
+    drow_w = [dattn * wy[a] for a in (0, 1)]
+    for k, (a, b) in enumerate(_CORNERS):
+        # dattn * wy * wx + attn * (dwy * wx + wy * dwx), term by term.
+        cross = dweights[k]
+        np.multiply(dwy[a], wx[b], out=cross)
+        cross += wy[a] * dwx[b]
+        cross *= attn
+        cross += drow_w[a] * wx[b]
 
+
+def _attention_sampler(q, dq, v, dv, params: DeformAttnParams):
+    """One attention branch up to its output projection.
+
+    ``v`` is the value map, or a tuple of maps that stack along channels
+    into it (``dv`` likewise); a tuple is read in place. Checks the value,
+    projects the query and zeroes the accumulators, then returns ``(out,
+    dout, run)``: ``run()`` adds the weighted samples of every head into
+    ``out`` and the tangent ``dout`` (``None`` without one). ``run``
+    allocates only per-head arrays, so it can run on a worker thread without
+    growing that thread's malloc arena by feature-map-sized blocks.
+    """
+    heads, points = params.heads, params.points
+    _, height, width = q.shape
+
+    def flat_rows(maps):
+        maps = maps if isinstance(maps, tuple) else (maps,)
+        return [part.reshape(part.shape[0], height * width) for part in maps]
+
+    flat = flat_rows(v)
+    cv = sum(len(part) for part in flat)
+    if cv != params.value_channels:
+        raise ValueError(
+            f"value has {cv} channels, parameters expect {params.value_channels}"
+        )
+    off = _mm(params.offset_w, q) + params.offset_b[:, :, None, None]
+    off = off.reshape(heads, points, 2, height, width)
+    logits = _mm(params.weight_w, q) + params.weight_b[:, :, None, None]
+    corners = np.empty((4, points, height, width), dtype=np.int64)
+    weights = np.empty((4, points, height, width))
+    out = np.zeros((cv, height, width))
+    dflat = dweights = dout = None
+    doff = dlogits = [None] * heads
     if dq is not None:
+        dflat = flat_rows(dv)
         doff = _mm(params.offset_w, dq).reshape(heads, points, 2, height, width)
         dlogits = _mm(params.weight_w, dq)
-        dattn = attn * (dlogits - (attn * dlogits).sum(axis=1, keepdims=True))
-        # Sampling clamps to the border; the position tangent dies there.
-        dpx = doff[:, :, 0] * ((px_raw > 0.0) & (px_raw < width - 1.0))
-        dpy = doff[:, :, 1] * ((py_raw > 0.0) & (py_raw < height - 1.0))
-        dwx, dwy = (-dpx, dpx), (-dpy, dpy)
-        dweights = [
-            dattn * wy[a] * wx[b] + attn * (dwy[a] * wx[b] + wy[a] * dwx[b])
-            for a, b in pairs
-        ]
-        dv_heads = dv.reshape(heads, dv_head, height * width)
-        dout = np.zeros((heads, dv_head, height, width))
+        dweights = np.empty_like(weights)
+        dout = np.zeros((cv, height, width))
+    blocks = _value_blocks(flat, dflat, heads)
 
     # out = sum_k w_k * v[corner_k], so dout = sum_k (dw_k * v[corner_k] +
-    # w_k * dv[corner_k]). One (head, point) at a time bounds the gathers.
-    v_heads = v.reshape(heads, dv_head, height * width)
-    out = np.zeros((heads, dv_head, height, width))
-    for h in range(heads):
-        for p in range(points):
-            for k, idx in enumerate(corners):
-                sample = np.take(v_heads[h], idx[h, p], axis=1)
-                if dq is not None:
-                    dsample = np.take(dv_heads[h], idx[h, p], axis=1)
-                    dsample *= weights[k][h, p]
-                    dsample += dweights[k][h, p] * sample
-                    dout[h] += dsample
-                sample *= weights[k][h, p]
-                out[h] += sample
+    # w_k * dv[corner_k]). Set-up runs per head and gathers per block of
+    # channels, so the working set stays small; each output element still
+    # sums its (point, corner) terms in the same order.
+    def run():
+        for h in range(heads):
+            _corner_weights(off[h], logits[h], doff[h], dlogits[h], corners, weights, dweights)
+            for chans, src, dsrc in blocks[h]:
+                for p in range(points):
+                    for k in range(4):
+                        sample = np.take(src, corners[k, p], axis=1)
+                        if dq is not None:
+                            dsample = np.take(dsrc, corners[k, p], axis=1)
+                            dsample *= weights[k, p]
+                            dsample += dweights[k, p] * sample
+                            dout[chans] += dsample
+                        sample *= weights[k, p]
+                        out[chans] += sample
 
-    cat = out.reshape(cv, height, width)
-    dcat = None if dq is None else dout.reshape(cv, height, width)
-    return _cellwise_affine(cat, dcat, params.out_w, params.out_b)
+    return out, dout, run
+
+
+def deform_cross_attention_jvp(q, dq, v, dv, params: DeformAttnParams):
+    """``v`` (and ``dv``) may be a tuple of maps that stack along channels
+    into the value; see ``_attention_sampler``."""
+    out, dout, run = _attention_sampler(q, dq, v, dv, params)
+    run()
+    del run  # frees the projections before the output projection runs
+    return _cellwise_affine(out, dout, params.out_w, params.out_b)
 
 
 def _conv3_raw(x, taps):
@@ -419,13 +498,33 @@ def fuse_bev_jvp(fi, dfi, fp, dfp, params: FusionParams):
     (fic, fpc), dw = weight_features_jvp(fi, dfi, fp, dfp, m, dm)
     dfic, dfpc = dw or (None, None)
     f_mm, df_mm = concat_mm_jvp(fic, dfic, fpc, dfpc, params)
-    plain, dplain = deform_cross_attention_jvp(
-        f_a, df_a, _cat(fi, fp), _cat(dfi, dfp), params.attn_plain
+    # Both branches' working sets are alive at once, so free what they do
+    # not read first.
+    del fic, fpc, dfic, dfpc, dw
+    # The plain branch samples on a second thread while this one runs the
+    # weighted branch. Its feature-map-sized arrays are allocated here, in
+    # this thread's malloc arena, so the worker adds no resident memory that
+    # outlives the call. numpy releases the GIL in the gathers, and each
+    # branch's bits do not depend on which thread ran it.
+    plain, dplain, sample_plain = _attention_sampler(
+        f_a, df_a, (fi, fp), None if dfi is None else (dfi, dfp), params.attn_plain
     )
-    conf, dconf = deform_cross_attention_jvp(f_a, df_a, f_mm, df_mm, params.attn_weighted)
-    return conv_merge_jvp(
-        plain + conf, None if dfi is None else dplain + dconf, params.out_conv
-    )
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        sampled = pool.submit(sample_plain)
+        del sample_plain
+        conf, dconf = deform_cross_attention_jvp(
+            f_a, df_a, f_mm, df_mm, params.attn_weighted
+        )
+        del f_mm, df_mm
+        sampled.result()
+    out_w, out_b = params.attn_plain.out_w, params.attn_plain.out_b
+    merged, dmerged = _cellwise_affine(plain, dplain, out_w, out_b)
+    del plain, dplain
+    merged += conf
+    if dfi is not None:
+        dmerged += dconf
+    del conf, dconf
+    return conv_merge_jvp(merged, dmerged, params.out_conv)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ render them.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,32 +93,58 @@ def _bound_plane(arr: np.ndarray) -> ImagePlane:
     return plane
 
 
-def gamma_lowlight(img: ImagePlane, gamma: float) -> ImagePlane:
-    """Classic gamma darkening: every sample is raised to ``gamma``."""
+def _fill_frames(fill, frames) -> list[ImagePlane]:
+    """Run ``fill(src, out)`` for each frame on at most 2 threads.
+
+    This thread allocates every output: arrays a worker allocates stay in
+    its glibc arena after it exits, which inflates the resident set. The
+    frames are independent, so the outputs do not depend on scheduling.
+    """
+    outs = [np.empty_like(frame.data) for frame in frames]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(fill, [frame.data for frame in frames], outs))
+    return [_bound_plane(out) for out in outs]
+
+
+def _lowlight(gamma: float):
+    """Per-frame ``gamma_lowlight`` as ``fill(src, out)``."""
     if not gamma > 0 or not math.isfinite(gamma):
         raise ValueError(f"gamma must be positive, got {gamma}")
+
+    def fill(src, out):
+        np.power(src, gamma, out=out)
+
+    return fill
+
+
+def gamma_lowlight(img: ImagePlane, gamma: float) -> ImagePlane:
+    """Classic gamma darkening: every sample is raised to ``gamma``."""
+    fill = _lowlight(gamma)
     if gamma == 1.0:
         return img
-    return _bound_plane(np.power(img.data, gamma))
+    return _fill_frames(fill, [img])[0]
 
 
-def _weather_blend(deg_map: DegradationMap, parameter: float, atmosphere: float):
-    """Per-frame ``composite_weather`` at map strength ``parameter``."""
+def _weather_blend(deg_map: DegradationMap, parameter: float, atmosphere: float, frames):
+    """Per-frame ``composite_weather`` at map strength ``parameter``, as
+    ``fill(src, out)``, once every frame's dims are checked against the map."""
     if not 0.0 <= atmosphere <= 1.0:
         raise ValueError(f"atmosphere must lie in [0, 1], got {atmosphere}")
-    # The two operands are built once, full-shape, so each frame's loops are long.
     dims = deg_map.data.shape[:2]
+    for img in frames:
+        if dims != img.data.shape[:2]:
+            raise ValueError(f"map dims {dims} != image dims {img.data.shape[:2]}")
+    # The two operands are built once, full-shape, so each frame's loops are long.
     m = np.broadcast_to(deg_map.data.reshape(*dims, -1) * parameter, (*dims, 3))
     keep, add = 1.0 - m, atmosphere * m
 
-    def blend(img: ImagePlane) -> ImagePlane:
-        if dims != img.data.shape[:2]:
-            raise ValueError(f"map dims {dims} != image dims {img.data.shape[:2]}")
-        out = img.data * keep
+    # With x, m and a in [0, 1], fl(x * fl(1 - m)) + fl(a * m) <= 1 and is
+    # never below 0, so the sum needs no clip (tests/test_weather_bound.py).
+    def fill(src, out):
+        np.multiply(src, keep, out=out)
         out += add
-        return _bound_plane(np.clip(out, 0.0, 1.0, out=out))
 
-    return blend
+    return fill
 
 
 def composite_weather(
@@ -125,10 +152,10 @@ def composite_weather(
 ) -> ImagePlane:
     """Alpha-blend the image toward a constant atmosphere value.
 
-    out = img * (1 - map) + atmosphere * map, clamped to [0, 1].
+    out = img * (1 - map) + atmosphere * map, which stays in [0, 1].
     Single-channel maps broadcast across the three image channels.
     """
-    return _weather_blend(deg_map, 1.0, atmosphere)(img)
+    return _fill_frames(_weather_blend(deg_map, 1.0, atmosphere, [img]), [img])[0]
 
 
 @dataclass(frozen=True)
@@ -188,9 +215,10 @@ def same_timestamp_consistency(frames, spec: DegradationSpec) -> list[ImagePlane
         raise ValueError("at least one frame is required")
     kind, _, parameter = sample_degradation(spec, Rng(spec.seed, stream=0))
     if kind == "lowlight":
-        return [gamma_lowlight(frame, parameter) for frame in frames]
-    blend = _weather_blend(spec.maps[kind], parameter, spec.atmosphere_for(kind))
-    return [blend(frame) for frame in frames]
+        fill = _lowlight(parameter)
+    else:
+        fill = _weather_blend(spec.maps[kind], parameter, spec.atmosphere_for(kind), frames)
+    return _fill_frames(fill, frames)
 
 
 def _read_pnm_tokens(raw: bytes, count: int) -> tuple[list[int], int]:

@@ -1,5 +1,7 @@
 """Radar corruption model tests: statistics, count laws, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,15 +279,16 @@ class TestCorruptionSpecJson:
             sigma=4.5,
             spurious_ratio=0.3,
         )
-        assert CorruptionSpec.from_json(spec.to_json()) == spec
+        text = json.dumps(spec.to_json_dict(), sort_keys=True)
+        assert CorruptionSpec.from_json_dict(json.loads(text)) == spec
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            CorruptionSpec.from_json('{"kind": "BeamDrop", "beams": 3}')
+            CorruptionSpec.from_json_dict(json.loads('{"kind": "BeamDrop", "beams": 3}'))
 
     def test_kind_required(self):
         with pytest.raises(ValueError):
-            CorruptionSpec.from_json('{"seed": 1}')
+            CorruptionSpec.from_json_dict(json.loads('{"seed": 1}'))
 
     @pytest.mark.parametrize(
         "text",
@@ -302,7 +305,7 @@ class TestCorruptionSpecJson:
     def test_bad_values_rejected_when_built(self, text):
         # Each of these used to build and then fail, or run wrong, at apply time.
         with pytest.raises(ValueError):
-            CorruptionSpec.from_json(text)
+            CorruptionSpec.from_json_dict(json.loads(text))
 
     def test_apply_draws_sigma_when_absent(self):
         cloud = random_cloud(50, seed=15)
