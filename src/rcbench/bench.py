@@ -14,9 +14,12 @@ import json
 import math
 import os
 import time
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -667,7 +670,7 @@ def _run_task(
         error = f"{type(exc).__name__}: {exc}"
 
     rows = []
-    heatmaps: dict[str, np.ndarray] = {}
+    heatmaps: dict[str, bytes] = {}
     for pipeline in cfg.pipelines:
         base = dict(kind=entry.kind.value, level=level, replicate=replicate, pipeline=pipeline)
         if error is not None:
@@ -689,23 +692,20 @@ def _run_task(
         )
         if want_heatmaps:
             tag = f"{entry.kind.value}_l{level:g}_r{replicate}_{pipeline}"
-            heatmaps[f"bev_{tag}"] = processed[pipeline]
-            heatmaps[f"bev_clean_{tag}"] = clean[pipeline]
+            heatmaps[f"bev_{tag}"] = pgm_bytes(processed[pipeline])
+            heatmaps[f"bev_clean_{tag}"] = pgm_bytes(clean[pipeline])
     return rows, heatmaps
-
-
-def _run_task_star(args):
-    return _run_task(*args)
 
 
 def run_sweep(
     cfg: SweepConfig, jobs: int = 1, want_heatmaps: bool = False
-) -> tuple[list[BenchRow], dict[str, np.ndarray]]:
+) -> Iterator[tuple[list[BenchRow], dict[str, bytes]]]:
     """Run every (kind x level x replicate x pipeline) combination.
 
-    Rows come back in config-declaration order regardless of job count,
-    so reports are byte-stable. A failing combination yields an
-    error-marked row instead of aborting the sweep.
+    Yields each (kind, level, replicate) task's ``(rows, heatmaps)``, in
+    config-declaration order whatever the job count, with ``pgm_bytes``
+    heatmaps if asked. A failing combination yields error-marked rows; a bad
+    weights file raises ``ConfigError`` from this call, before any task runs.
     """
     weights = None
     if cfg.projector == "weights-file":
@@ -722,16 +722,20 @@ def run_sweep(
     # A pool starts its workers up front, so never ask for more than can run.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_run_task_star(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task_star, tasks))
-    rows: list[BenchRow] = []
-    heatmaps: dict[str, np.ndarray] = {}
-    for task_rows, task_maps in results:
-        rows.extend(task_rows)
-        heatmaps.update(task_maps)
-    return rows, heatmaps
+        return (_run_task(*task) for task in tasks)
+    return _pooled(tasks, workers)
+
+
+def _pooled(tasks, workers: int):
+    # Executor.map submits every task at once, so finished results could pile
+    # up behind a slow one; a window of 2 x workers futures bounds them.
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        for task in tasks:
+            window.append(pool.submit(_run_task, *task))
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+        yield from (future.result() for future in window)
 
 
 def _format_cell(value) -> str:
@@ -745,47 +749,55 @@ def _format_cell(value) -> str:
 
 
 def write_report_csv(rows, path, include_timing: bool = False) -> None:
-    """Serialize rows in declaration order.
+    """Serialize rows, any iterable of them, in the order given.
 
     Timing is omitted by default so repeated runs of the same config
     produce byte-identical reports. With include_timing=True, ``wall_ms``
     is the wall time of the row's task, the pipelines and metrics of one
     (kind, level, replicate) after its scene is corrupted; rows share it.
+
+    Rows go to ``<path>.tmp``, renamed over ``path`` after the last one, so
+    ``path`` never holds a partial report; on failure the temporary is removed.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            record = [
-                row.kind,
-                repr(float(row.level)),
-                str(row.replicate),
-                row.pipeline,
-            ]
-            metrics = (
-                row.snr_before,
-                row.snr_after,
-                row.peak_consistent,
-                row.peak_l2_cells,
-                row.chamfer_m,
-                row.points_in,
-                row.points_out,
-            )
-            record.extend(_format_cell(v) for v in metrics)
-            if not include_timing:
-                record.append("")
-            elif row.wall_ms is None:
-                record.append("ERROR")
-            else:
-                record.append(f"{row.wall_ms:.3f}")
-            writer.writerow(record)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(REPORT_COLUMNS)
+            for row in rows:
+                record = [
+                    row.kind,
+                    repr(float(row.level)),
+                    str(row.replicate),
+                    row.pipeline,
+                ]
+                metrics = (
+                    row.snr_before,
+                    row.snr_after,
+                    row.peak_consistent,
+                    row.peak_l2_cells,
+                    row.chamfer_m,
+                    row.points_in,
+                    row.points_out,
+                )
+                record.extend(_format_cell(v) for v in metrics)
+                if not include_timing:
+                    record.append("")
+                elif row.wall_ms is None:
+                    record.append("ERROR")
+                else:
+                    record.append(f"{row.wall_ms:.3f}")
+                writer.writerow(record)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def emit_heatmap(bev: np.ndarray, path) -> None:
-    """Write a BEV heatmap as 8-bit PGM, min-max scaled to [0, 255].
+def pgm_bytes(bev: np.ndarray) -> bytes:
+    """A BEV heatmap as 8-bit PGM file bytes, min-max scaled to [0, 255].
 
     Pixel rows follow the heatmap's first axis. An all-constant map
-    writes all-zero pixels rather than dividing by zero.
+    gives all-zero pixels rather than dividing by zero.
     """
     a = np.asarray(bev, dtype=np.float64)
     if a.ndim != 2:
@@ -796,10 +808,12 @@ def emit_heatmap(bev: np.ndarray, path) -> None:
     else:
         q = np.zeros_like(a)
     pixels = np.clip(q, 0.0, 255.0).astype(np.uint8)
-    header = b"P5\n%d %d\n255\n" % (a.shape[1], a.shape[0])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())
+    return b"P5\n%d %d\n255\n" % (a.shape[1], a.shape[0]) + pixels.tobytes()
+
+
+def emit_heatmap(bev: np.ndarray, path) -> None:
+    """Write a BEV heatmap as an 8-bit PGM file (see ``pgm_bytes``)."""
+    Path(path).write_bytes(pgm_bytes(bev))
 
 
 @dataclass(frozen=True)

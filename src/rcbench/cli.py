@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
-from .bench import (
+# emit_heatmap stays importable here for perfbench's trace hook.
+from .bench import (  # noqa: F401
     ConfigError,
     MANIFEST_CLEAN_RATIO,
     SceneConfig,
@@ -49,21 +51,32 @@ def _cmd_run(args) -> int:
     cfg = load_sweep_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    rows, heatmaps = run_sweep(cfg, jobs=args.jobs, want_heatmaps=args.emit_heatmaps)
-    elapsed = time.perf_counter() - started
-    write_report_csv(rows, out_dir / "report.csv", include_timing=args.timing)
+    heatmap_dir = out_dir / "heatmaps"
     if args.emit_heatmaps:
-        heatmap_dir = out_dir / "heatmaps"
         heatmap_dir.mkdir(exist_ok=True)
-        for name in sorted(heatmaps):
-            emit_heatmap(heatmaps[name], heatmap_dir / f"{name}.pgm")
-    errors = sum(1 for row in rows if row.error is not None)
+    started = time.perf_counter()
+    tasks = run_sweep(cfg, jobs=args.jobs, want_heatmaps=args.emit_heatmaps)
+    rows_by_error: Counter = Counter()
+
+    def rows():
+        # Each task's heatmaps and rows leave as it arrives; none are kept.
+        for task_rows, heatmaps in tasks:
+            for name, pgm in heatmaps.items():
+                (heatmap_dir / f"{name}.pgm").write_bytes(pgm)
+            rows_by_error.update(row.error for row in task_rows)
+            yield from task_rows
+
+    write_report_csv(rows(), out_dir / "report.csv", include_timing=args.timing)
+    elapsed = time.perf_counter() - started
+    good = rows_by_error.pop(None, 0)
+    errors = sum(rows_by_error.values())
     print(
-        f"wrote {len(rows)} rows ({errors} errored) to {out_dir / 'report.csv'} "
+        f"wrote {good + errors} rows ({errors} errored) to {out_dir / 'report.csv'} "
         f"in {elapsed:.2f}s",
         file=sys.stderr,
     )
+    for error, count in rows_by_error.items():
+        print(f"  {count} rows: {error}", file=sys.stderr)
     return 0
 
 

@@ -134,8 +134,20 @@ def heuristic_kernel_params(cloud: PointCloud) -> np.recarray:
     """
     if len(cloud) == 0:
         return _HEURISTIC_CLASSES[:0]
-    q25, q75 = np.percentile(cloud.rcs, [25.0, 75.0])
+    q25, q75 = _quartiles(cloud.rcs)
     return _HEURISTIC_CLASSES[np.select([cloud.rcs < q25, cloud.rcs < q75], [0, 1], default=2)]
+
+
+def _quartiles(x: np.ndarray) -> np.ndarray:
+    """``np.percentile(x, [25, 75])`` bit for bit: numpy's 'linear' method,
+    partitioned where numpy partitions, as a sort can order -0.0 and 0.0 apart."""
+    n = len(x)
+    index = (n - 1) * np.array([0.25, 0.75])
+    lo = np.where(index >= n - 1, -1, np.floor(index)).astype(np.intp)  # n == 1: the last value
+    hi = np.where(lo < 0, lo, lo + 1)
+    s = np.partition(x, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    a, b, t = s[lo], s[hi], index - lo
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def kernel_params_for_cloud(
@@ -201,20 +213,29 @@ def _entries(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray):
         x, y, z = (c[point] + d[row] for c, d in zip(cells, offsets))
         # A negative index reads as a huge unsigned one, so one compare bounds each axis.
         inside = (x.view(np.uint64) < nx) & (y.view(np.uint64) < ny) & (z.view(np.uint64) < nz)
-        yield ((x * ny + y) * nz + z)[inside], weights[row[inside]], point[inside]
+        block = ((x * ny + y) * nz + z)[inside], weights[row[inside]], point[inside]
+        # Only the block stays alive while the caller works on it.
+        del point, row, x, y, z, inside
+        yield block
 
 
-def _summed(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray, *values):
-    """Flat grids spreading each of ``values`` through the entries, and the
-    (x, y) columns they touch. ``np.add.at`` takes the entries in point
-    order, so every cell sums in point order whatever the block size."""
+def _summed(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray, cols, *values):
+    """Each of ``values`` spread through the entries, summed into a
+    ``(len(cols), nz)`` table of the grid's (x, y) columns ``cols``, or into
+    the whole flat grid when ``cols`` is None; every entry must fall in the
+    table. ``np.add.at`` takes the entries in point order, so every cell
+    sums in point order whatever the block size or table."""
     nx, ny, nz = spec.cells
-    sums, touched = np.zeros((len(values), nx * ny * nz)), np.zeros(nx * ny, dtype=bool)
+    if cols is not None:
+        rank = np.empty(nx * ny, np.intp)
+        rank[cols] = np.arange(len(cols))
+    sums = np.zeros((len(values), nx * ny * nz if cols is None else len(cols) * nz))
     for flat, w, point in _entries(spec, cells, kernels, which):
+        if cols is not None:
+            flat = rank[flat // nz] * nz + flat % nz
         for total, v in zip(sums, values):
             np.add.at(total, flat, w * v[point])
-        touched[flat // nz] = True
-    return sums, touched
+    return sums
 
 
 def voxelize(cloud: PointCloud, spec: GridSpec) -> VoxelGrid:
@@ -250,7 +271,7 @@ def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANA
     kernels = [build_kernel(side, sigmas, exponent_mode) for side, sigmas in groups]
     mask, *cells = voxel_indices(spec, cloud.xyz)
     cells = np.stack(cells)[:, mask]
-    sums, _ = _summed(spec, cells, kernels, which[mask], cloud.rcs[mask], cloud.v[mask])
+    sums = _summed(spec, cells, kernels, which[mask], None, cloud.rcs[mask], cloud.v[mask])
     rcs, vel = sums.reshape(2, *spec.cells)
     count = np.zeros(spec.cells, dtype=np.int64)
     np.add.at(count, tuple(cells), 1)
@@ -261,18 +282,28 @@ def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANA
 def residual_bevs(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> list[np.ndarray]:
     """``bev_project`` of ``voxelize``, then of ``merge_residual`` with each
     mode's ``expand``, bit for bit; ``params`` is unused with no modes. Each
-    grid sums only RCS, and only the (x, y) columns entries touch are reduced.
+    grid sums only RCS, into a table of only the (x, y) columns its kernels
+    can reach, so no dense grid is built.
     """
     mask, *cells = voxel_indices(spec, cloud.xyz)
     cells, rcs_in = np.stack(cells)[:, mask], cloud.rcs[mask]
     which, groups = _kernel_groups(params, len(cloud)) if exponent_modes else (None, [])
-    sums = [_summed(spec, cells, [np.ones((1, 1, 1, 1))], np.zeros(len(rcs_in), np.intp), rcs_in)]
+    nx, ny, nz = spec.cells
+    # The columns a deposit can touch: the points' own, widened by the largest
+    # kernel's reach. A column no entry reaches sums to 0.0, as if untouched.
+    near = np.zeros((nx, ny), dtype=bool)
+    near[cells[0], cells[1]] = True
+    for _ in range(max([(side - 1) // 2 for side, sigmas in groups if len(sigmas)], default=0)):
+        near[1:] |= near[:-1]
+        near[:-1] |= near[1:]
+        near[:, 1:] |= near[:, :-1]
+        near[:, :-1] |= near[:, 1:]
+    cols = np.flatnonzero(near)
+    sums = [_summed(spec, cells, [np.ones((1, 1, 1, 1))], np.zeros(len(rcs_in), np.intp), cols, rcs_in)]
     for mode in exponent_modes:
         kernels = [build_kernel(side, sigmas, mode) for side, sigmas in groups]
-        sums.append(_summed(spec, cells, kernels, which[mask], rcs_in))
-    nx, ny, nz = spec.cells
-    cols = np.flatnonzero(np.any([touched for _, touched in sums], axis=0))
-    raw, *expanded = (rcs.reshape(nx * ny, nz)[cols] for (rcs,), _ in sums)
+        sums.append(_summed(spec, cells, kernels, which[mask], cols, rcs_in))
+    raw, *expanded = (rcs.reshape(len(cols), nz) for (rcs,) in sums)
     bevs = []
     for merged in [raw] + [raw + e for e in expanded]:
         bev = np.zeros(nx * ny)

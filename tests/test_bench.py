@@ -2,10 +2,12 @@
 
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import rcbench.bench as bench
 from rcbench.bench import (
     ConfigError,
     SceneConfig,
@@ -18,6 +20,7 @@ from rcbench.bench import (
     metric_chamfer,
     metric_peak,
     metric_snr,
+    pgm_bytes,
     pipeline_bev,
     run_sweep,
     scripted_scene,
@@ -190,26 +193,56 @@ def tiny_config(**overrides):
     return SweepConfig(**kwargs)
 
 
+def sweep_rows(cfg, **kwargs):
+    """Every row of a run_sweep stream, in task order."""
+    return [row for rows, _ in run_sweep(cfg, **kwargs) for row in rows]
+
+
+def sweep_bevs(cfg):
+    """A serial run_sweep's rows, and by heatmap name the float64 BEV that
+    was passed to pgm_bytes for it; each heatmap must be that BEV's PGM."""
+    captured = []
+
+    def capture(bev):
+        captured.append(bev)
+        return pgm_bytes(bev)
+
+    rows, names = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "pgm_bytes", capture)
+        for task_rows, task_maps in run_sweep(cfg, want_heatmaps=True):
+            rows += task_rows
+            for name, pgm in task_maps.items():
+                assert pgm == pgm_bytes(captured[len(names)]), name
+                names.append(name)
+    assert len(captured) == len(names)
+    return rows, dict(zip(names, captured))
+
+
+def float_bytes(bev):
+    return np.asarray(bev, dtype=np.float64).tobytes()
+
+
 class TestRunSweep:
     def test_row_count_one_per_combination(self):
-        rows, _ = run_sweep(tiny_config())
+        rows = sweep_rows(tiny_config())
         assert len(rows) == 2
         assert [r.pipeline for r in rows] == ["raw", "3dge_planar"]
 
     def test_raw_pipeline_has_equal_before_after(self):
-        rows, _ = run_sweep(tiny_config())
+        rows = sweep_rows(tiny_config())
         raw = rows[0]
         assert raw.snr_before == raw.snr_after
         assert raw.points_in == 80 and raw.points_out == 96
 
     def test_rows_and_csv_are_deterministic(self, tmp_path):
         cfg = tiny_config(replicates=2)
-        rows1, _ = run_sweep(cfg)
-        rows2, _ = run_sweep(cfg)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_report_csv(rows1, p1)
-        write_report_csv(rows2, p2)
+        write_report_csv(sweep_rows(cfg), p1)
+        # The writer takes any iterable of rows, so a stream too.
+        write_report_csv((r for rows, _ in run_sweep(cfg) for r in rows), p2)
         assert p1.read_bytes() == p2.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
     def test_error_rows_do_not_abort_sweep(self, tmp_path):
         # Dropping all 32 beams empties the cloud; chamfer then fails and
@@ -220,7 +253,7 @@ class TestRunSweep:
                 SweepEntry(kind=CorruptionKind.POINT_SHIFTING, levels=(1.0,)),
             ),
         )
-        rows, _ = run_sweep(cfg)
+        rows = sweep_rows(cfg)
         assert len(rows) == 4
         assert rows[0].error is not None
         assert rows[2].error is None
@@ -230,15 +263,24 @@ class TestRunSweep:
         assert "ERROR" in lines[1]
 
     def test_heatmaps_collected_on_request(self):
-        rows, maps = run_sweep(tiny_config(), want_heatmaps=True)
-        assert len(maps) == 4  # processed + clean per row
-        for arr in maps.values():
-            assert arr.shape == (128, 128)
+        assert all(not maps for _, maps in run_sweep(tiny_config()))
+        ((_, maps),) = run_sweep(tiny_config(), want_heatmaps=True)
+        rows, bevs = sweep_bevs(tiny_config())
+        assert len(rows) == 2
+        assert list(bevs) == list(maps) and len(maps) == 4  # processed + clean per row
+        for name, bev in bevs.items():
+            assert bev.shape == (128, 128) and bev.dtype == np.float64
+            assert maps[name] == pgm_bytes(bev)
+            assert maps[name].startswith(b"P5\n128 128\n255\n")
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         cfg = tiny_config(replicates=2)
-        rows_serial, maps_s = run_sweep(cfg, jobs=1, want_heatmaps=True)
-        rows_parallel, maps_p = run_sweep(cfg, jobs=2, want_heatmaps=True)
+        # Pool workers are forked, so they return the float64 BEVs' bytes too.
+        monkeypatch.setattr(bench, "pgm_bytes", float_bytes)
+        serial = list(run_sweep(cfg, jobs=1, want_heatmaps=True))
+        parallel = list(run_sweep(cfg, jobs=2, want_heatmaps=True))
+        rows_serial = [r for rows, _ in serial for r in rows]
+        rows_parallel = [r for rows, _ in parallel for r in rows]
         assert len(rows_serial) == len(rows_parallel)
         # wall_ms is measured, so compare every other field.
         for a, b in zip(rows_serial, rows_parallel):
@@ -250,9 +292,13 @@ class TestRunSweep:
             )
             assert a.snr_after == b.snr_after
             assert a.peak_l2_cells == b.peak_l2_cells
-        assert sorted(maps_s) == sorted(maps_p)
-        for key in maps_s:
-            assert np.array_equal(maps_s[key], maps_p[key])
+        maps_s = [maps for _, maps in serial]
+        maps_p = [maps for _, maps in parallel]
+        assert [list(m) for m in maps_s] == [list(m) for m in maps_p]
+        assert maps_s == maps_p
+        for maps in maps_s:
+            for key, raw in maps.items():
+                assert len(raw) == 128 * 128 * 8, key
 
     @pytest.mark.parametrize(
         "jobs, replicates, cpus, want",
@@ -280,14 +326,105 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr("rcbench.bench.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: cpus)
-        rows, _ = run_sweep(tiny_config(replicates=replicates), jobs=jobs)
+        rows = sweep_rows(tiny_config(replicates=replicates), jobs=jobs)
         assert started == ([] if want is None else [want])
         assert len(rows) == 2 * replicates
+
+
+class ReversePool:
+    """A fake pool whose submitted tasks all finish, newest first, when any
+    result is read; it counts futures submitted but not yet read."""
+
+    def __init__(self, max_workers):
+        self.workers = max_workers
+        self.unfinished = []
+        self.finished = []
+        self.outstanding = 0
+        self.most_outstanding = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = ReverseFuture(self, fn, args)
+        self.unfinished.append(future)
+        self.outstanding += 1
+        self.most_outstanding = max(self.most_outstanding, self.outstanding)
+        return future
+
+
+class ReverseFuture:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self):
+        while self.pool.unfinished:
+            future = self.pool.unfinished.pop()
+            future.value = future.fn(*future.args)
+            self.pool.finished.append(future.args[3])  # the replicate
+        self.pool.outstanding -= 1
+        return self.value
+
+
+RUN_TASK = bench._run_task
+
+
+def fail_third_replicate(*args):
+    """_run_task that raises on replicate 2; module-level, so a pool can pickle it."""
+    if args[3] == 2:
+        raise RuntimeError("task failed")
+    return RUN_TASK(*args)
+
+
+class TestSweepStream:
+    def test_pool_yields_in_task_order_with_a_bounded_window(self, monkeypatch):
+        pools = []
+
+        def make_pool(max_workers):
+            pools.append(ReversePool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr("rcbench.bench.ProcessPoolExecutor", make_pool)
+        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        cfg = tiny_config(replicates=9)
+        replicates = [rows[0].replicate for rows, _ in run_sweep(cfg, jobs=2)]
+        (pool,) = pools
+        assert replicates == list(range(9))
+        assert sorted(pool.finished) == replicates and pool.finished != replicates
+        assert pool.finished[:4] == [3, 2, 1, 0]
+        assert pool.most_outstanding == 2 * pool.workers == 4
+        assert pool.outstanding == 0
+
+    def test_serial_stream_runs_a_task_only_when_asked(self, monkeypatch):
+        calls = []
+        original = bench._run_task
+
+        def counted(*args):
+            calls.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(bench, "_run_task", counted)
+        stream = run_sweep(tiny_config(replicates=3))
+        assert calls == []
+        next(stream)
+        assert calls == [0]
+        assert [rows[0].replicate for rows, _ in stream] == [1, 2]
+
+    def test_bad_weights_raise_before_any_task_runs(self, tmp_path):
+        cfg = tiny_config(projector="weights-file", projector_weights=str(tmp_path / "no.json"))
+        for jobs in (1, 2):
+            with pytest.raises(ConfigError, match="cannot load projector weights"):
+                run_sweep(cfg, jobs=jobs)
 
 
 class TestEmitHeatmap:
@@ -350,7 +487,7 @@ class TestExpansionBenefit:
             replicates=100,
             master_seed=5,
         )
-        rows, _ = run_sweep(cfg)
+        rows = sweep_rows(cfg)
         assert len(rows) == 200
         for level in (3.0, 5.0):
             level_rows = [r for r in rows if r.level == level]
@@ -365,7 +502,7 @@ class TestThroughput:
         import time
 
         started = time.perf_counter()
-        rows, _ = run_sweep(default_sweep_config())
+        rows = sweep_rows(default_sweep_config())
         elapsed = time.perf_counter() - started
         assert len(rows) == 160  # 4 kinds x 2 levels x 10 replicates x 2 pipelines
         assert all(r.error is None for r in rows)
@@ -490,6 +627,58 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+
+    def run_config(self, tmp_path, payload, *flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        out_dir = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--out-dir", str(out_dir), *flags]
+        return main(argv), out_dir
+
+    def test_bad_weights_path_is_exit_1_without_report(self, tmp_path, capsys):
+        payload = {"projector": "weights-file", "projector_weights": str(tmp_path / "no.json")}
+        code, out_dir = self.run_config(tmp_path, payload, "--emit-heatmaps")
+        assert code == 1
+        assert "cannot load projector weights" in capsys.readouterr().err
+        assert not (out_dir / "report.csv").exists()
+        assert list((out_dir / "heatmaps").iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_run_leaves_no_report_or_temp_file(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(bench, "_run_task", fail_third_replicate)
+        payload = {
+            "corruptions": [{"kind": "PointShifting", "levels": [5]}],
+            "pipelines": ["raw"],
+            "replicates": 5,
+        }
+        code, out_dir = self.run_config(tmp_path, payload, "--jobs", jobs, "--emit-heatmaps")
+        assert code == 2
+        assert list(out_dir.iterdir()) == [out_dir / "heatmaps"]
+        # The tasks before the failing one were written as they arrived.
+        maps = sorted(p.name for p in (out_dir / "heatmaps").iterdir())
+        assert maps == [
+            f"bev_{clean}PointShifting_l5_r{r}_raw.pgm" for clean in ("", "clean_") for r in (0, 1)
+        ]
+
+    def test_error_texts_are_printed_with_row_counts(self, tmp_path, capsys):
+        payload = {
+            "corruptions": [
+                {"kind": "KeyPointMissing", "levels": [500]},
+                {"kind": "BeamDrop", "levels": [32, 64]},
+            ],
+            "replicates": 2,
+            "total_beams": 64,
+        }
+        code, out_dir = self.run_config(tmp_path, payload)
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("wrote 12 rows (8 errored) to ")
+        assert lines[1:] == [
+            "  4 rows: ValueError: k=500 outside [1, 40] for gamma=0",
+            "  4 rows: ValueError: chamfer distance requires non-empty clouds",
+        ]
+        report = (out_dir / "report.csv").read_text().splitlines()
+        assert len(report) == 13 and sum("ERROR" in line for line in report) == 8
 
     def test_unknown_kind_is_exit_1(self, tmp_path):
         src = tmp_path / "x.csv"

@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from rcbench import fusion, imaging
-from rcbench.bench import SceneConfig, SweepConfig, SweepEntry, run_sweep, write_report_csv
+from rcbench.bench import SceneConfig, SweepConfig, SweepEntry, write_report_csv
 from rcbench.core import Rng
 from rcbench.corruption import CorruptionKind
 from rcbench.imaging import DegradationMap, DegradationSpec, ImagePlane
+from test_bench import sweep_rows
 
 
 def feature_maps(c, h, w, seed):
@@ -124,8 +125,8 @@ def test_sweep_workers_fork_cleanly_after_camera_threads(tmp_path):
         master_seed=77,
     )
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    write_report_csv(run_sweep(cfg, jobs=1)[0], serial)
-    write_report_csv(run_sweep(cfg, jobs=2)[0], parallel)
+    write_report_csv(sweep_rows(cfg, jobs=1), serial)
+    write_report_csv(sweep_rows(cfg, jobs=2), parallel)
     assert parallel.read_bytes() == serial.read_bytes()
 
 

@@ -29,7 +29,6 @@ from rcbench.bench import (
     metric_peak,
     metric_snr,
     pipeline_bev,
-    run_sweep,
     scripted_scene,
 )
 from rcbench.core import (
@@ -59,6 +58,7 @@ from rcbench.expansion import (
     save_projector_weights,
     voxelize,
 )
+from test_bench import sweep_bevs, sweep_rows
 
 
 def small_grid(n=8):
@@ -170,6 +170,46 @@ class TestDepositOracle:
         got = heuristic_kernel_params(cloud)
         assert [p.lambda_p for p in got] == expected
         assert all(p.sigma == p.lambda_p / 3.0 for p in got)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.5],
+            [-0.0],
+            [3.0, 1.0],
+            [1.0, -2.0, 7.5],
+            [0.0, -0.0, 0.0, -0.0, 1.0],
+            [4.0] * 9,
+            [1e308, -1e308, 1e308, 0.5],
+        ],
+    )
+    def test_quartiles_equal_np_percentile_bit_for_bit(self, values):
+        assert_quartiles_match(np.array(values))
+
+    def test_quartiles_of_scene_clouds_with_ties(self):
+        gen = np.random.default_rng(37)
+        for n in (80, 81, 82, 83):
+            rcs = gen.uniform(0.5, 10.0, n)
+            for x in (rcs, np.round(rcs), np.where(rcs < 3, -0.0, np.floor(rcs / 4))):
+                assert_quartiles_match(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, -0.0, 1.0, 5e-324]),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    def test_quartiles_hypothesis(self, values):
+        assert_quartiles_match(np.array(values))
+
+
+def assert_quartiles_match(x):
+    # np.percentile warns on the same overflowing differences.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert expansion._quartiles(x).tobytes() == np.percentile(x, [25.0, 75.0]).tobytes()
 
 
 def loop_project(rcs, v, weights):
@@ -293,7 +333,7 @@ def per_row_sweep(cfg, weights=None):
 
 
 def assert_sweep_matches_per_row(cfg, weights=None):
-    rows, maps = run_sweep(cfg, want_heatmaps=True)
+    rows, maps = sweep_bevs(cfg)
     expected_rows, expected_maps = per_row_sweep(cfg, weights)
     assert [dataclasses.replace(r, wall_ms=None) for r in rows] == expected_rows
     assert maps.keys() == expected_maps.keys()
@@ -343,14 +383,14 @@ class TestOneVoxelizationPerCloud:
             monkeypatch.setattr(module, name, counted)
         cfg = multi_config()
         tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
-        run_sweep(cfg)
+        sweep_rows(cfg)
         assert calls == {"voxel_indices": 2 * tasks, "metric_chamfer": tasks}
 
     def test_box_mask_built_once_per_task(self):
         bench._planar_box_mask.cache_clear()
         cfg = multi_config()
         tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
-        run_sweep(cfg)
+        sweep_rows(cfg)
         info = bench._planar_box_mask.cache_info()
         # The early box check builds it; metric_snr, once per pipeline, reuses it.
         assert (info.misses, info.hits) == (tasks, tasks * len(cfg.pipelines))
@@ -438,6 +478,20 @@ class TestBevsFromEntries:
         # The dense-grid pipeline (voxelize, expand, merge, project) peaked at
         # 37.2 MiB on this cloud; entry blocks and RCS-only sums must stay below.
         assert peak < 32 * 2**20
+
+    def test_small_cloud_builds_no_dense_grid(self):
+        # One float64 grid of the default spec is 1 MiB. Summing into tables of
+        # the reachable columns instead kept the 80-point scene at 907 KiB with
+        # every pipeline (3.7 MiB with dense sums), so no task frees and refaults
+        # megabyte grids.
+        scene = scripted_scene(3)
+        tracemalloc.start()
+        try:
+            bench._pipeline_bevs(scene.cloud, default_grid(), PIPELINES, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestChamferBlocks:

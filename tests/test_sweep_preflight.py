@@ -9,9 +9,10 @@ import pytest
 
 import rcbench.bench as bench
 import rcbench.expansion as expansion
-from rcbench.bench import ConfigError, SceneConfig, SweepConfig, SweepEntry, run_sweep
+from rcbench.bench import ConfigError, SceneConfig, SweepConfig, SweepEntry
 from rcbench.cli import main
 from rcbench.corruption import TARGETED_REMOVAL_CAP, CorruptionKind
+from test_bench import sweep_rows
 
 
 def run_config(tmp_path, capsys, config):
@@ -98,7 +99,7 @@ def test_no_box_scene_fails_before_any_pipeline(monkeypatch):
         pipelines=bench.PIPELINES,
         replicates=3,
     )
-    rows, _ = run_sweep(cfg)
+    rows = sweep_rows(cfg)
     assert calls["voxel_indices"] == 0
     assert len(rows) == 9
     assert {row.error for row in rows} == {"ValueError: metric_snr requires at least one box"}
