@@ -771,16 +771,8 @@ def write_report_csv(rows, path, include_timing: bool = False) -> None:
                     str(row.replicate),
                     row.pipeline,
                 ]
-                metrics = (
-                    row.snr_before,
-                    row.snr_after,
-                    row.peak_consistent,
-                    row.peak_l2_cells,
-                    row.chamfer_m,
-                    row.points_in,
-                    row.points_out,
-                )
-                record.extend(_format_cell(v) for v in metrics)
+                # The metric columns, in the header's order.
+                record.extend(_format_cell(getattr(row, name)) for name in REPORT_COLUMNS[4:-1])
                 if not include_timing:
                     record.append("")
                 elif row.wall_ms is None:

@@ -56,6 +56,9 @@ def _cmd_run(args) -> int:
         heatmap_dir.mkdir(exist_ok=True)
     started = time.perf_counter()
     tasks = run_sweep(cfg, jobs=args.jobs, want_heatmaps=args.emit_heatmaps)
+    # Heatmaps land as tasks arrive: a run that fails partway keeps no older report.
+    report = out_dir / "report.csv"
+    report.unlink(missing_ok=True)
     rows_by_error: Counter = Counter()
 
     def rows():
@@ -66,13 +69,12 @@ def _cmd_run(args) -> int:
             rows_by_error.update(row.error for row in task_rows)
             yield from task_rows
 
-    write_report_csv(rows(), out_dir / "report.csv", include_timing=args.timing)
+    write_report_csv(rows(), report, include_timing=args.timing)
     elapsed = time.perf_counter() - started
     good = rows_by_error.pop(None, 0)
     errors = sum(rows_by_error.values())
     print(
-        f"wrote {good + errors} rows ({errors} errored) to {out_dir / 'report.csv'} "
-        f"in {elapsed:.2f}s",
+        f"wrote {good + errors} rows ({errors} errored) to {report} in {elapsed:.2f}s",
         file=sys.stderr,
     )
     for error, count in rows_by_error.items():

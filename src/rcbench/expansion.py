@@ -134,20 +134,8 @@ def heuristic_kernel_params(cloud: PointCloud) -> np.recarray:
     """
     if len(cloud) == 0:
         return _HEURISTIC_CLASSES[:0]
-    q25, q75 = _quartiles(cloud.rcs)
+    q25, q75 = np.percentile(cloud.rcs, [25.0, 75.0])
     return _HEURISTIC_CLASSES[np.select([cloud.rcs < q25, cloud.rcs < q75], [0, 1], default=2)]
-
-
-def _quartiles(x: np.ndarray) -> np.ndarray:
-    """``np.percentile(x, [25, 75])`` bit for bit: numpy's 'linear' method,
-    partitioned where numpy partitions, as a sort can order -0.0 and 0.0 apart."""
-    n = len(x)
-    index = (n - 1) * np.array([0.25, 0.75])
-    lo = np.where(index >= n - 1, -1, np.floor(index)).astype(np.intp)  # n == 1: the last value
-    hi = np.where(lo < 0, lo, lo + 1)
-    s = np.partition(x, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
-    a, b, t = s[lo], s[hi], index - lo
-    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def kernel_params_for_cloud(
@@ -221,18 +209,16 @@ def _entries(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray):
 
 def _summed(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray, cols, *values):
     """Each of ``values`` spread through the entries, summed into a
-    ``(len(cols), nz)`` table of the grid's (x, y) columns ``cols``, or into
-    the whole flat grid when ``cols`` is None; every entry must fall in the
-    table. ``np.add.at`` takes the entries in point order, so every cell
-    sums in point order whatever the block size or table."""
+    ``(len(cols), nz)`` table of the grid's (x, y) columns ``cols``, all of
+    them for the flat grid; every entry must fall in the table. ``np.add.at``
+    takes the entries in point order, so every cell sums in point order
+    whatever the block size or table."""
     nx, ny, nz = spec.cells
-    if cols is not None:
-        rank = np.empty(nx * ny, np.intp)
-        rank[cols] = np.arange(len(cols))
-    sums = np.zeros((len(values), nx * ny * nz if cols is None else len(cols) * nz))
+    rank = np.empty(nx * ny, np.intp)
+    rank[cols] = np.arange(len(cols))
+    sums = np.zeros((len(values), len(cols) * nz))
     for flat, w, point in _entries(spec, cells, kernels, which):
-        if cols is not None:
-            flat = rank[flat // nz] * nz + flat % nz
+        flat = rank[flat // nz] * nz + flat % nz
         for total, v in zip(sums, values):
             np.add.at(total, flat, w * v[point])
     return sums
@@ -271,7 +257,8 @@ def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANA
     kernels = [build_kernel(side, sigmas, exponent_mode) for side, sigmas in groups]
     mask, *cells = voxel_indices(spec, cloud.xyz)
     cells = np.stack(cells)[:, mask]
-    sums = _summed(spec, cells, kernels, which[mask], None, cloud.rcs[mask], cloud.v[mask])
+    all_cols = np.arange(spec.cells[0] * spec.cells[1])
+    sums = _summed(spec, cells, kernels, which[mask], all_cols, cloud.rcs[mask], cloud.v[mask])
     rcs, vel = sums.reshape(2, *spec.cells)
     count = np.zeros(spec.cells, dtype=np.int64)
     np.add.at(count, tuple(cells), 1)
@@ -299,7 +286,8 @@ def residual_bevs(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> 
         near[:, 1:] |= near[:, :-1]
         near[:, :-1] |= near[:, 1:]
     cols = np.flatnonzero(near)
-    sums = [_summed(spec, cells, [np.ones((1, 1, 1, 1))], np.zeros(len(rcs_in), np.intp), cols, rcs_in)]
+    unit = [np.ones((1, 1, 1, 1))]
+    sums = [_summed(spec, cells, unit, np.zeros(len(rcs_in), np.intp), cols, rcs_in)]
     for mode in exponent_modes:
         kernels = [build_kernel(side, sigmas, mode) for side, sigmas in groups]
         sums.append(_summed(spec, cells, kernels, which[mask], cols, rcs_in))

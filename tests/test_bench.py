@@ -1,8 +1,10 @@
 """Harness tests: scene generation, metrics, sweeps, CLI round trips."""
 
+import functools
 import json
 import math
-from concurrent.futures import Future
+import multiprocessing
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -223,6 +225,18 @@ def float_bytes(bev):
     return np.asarray(bev, dtype=np.float64).tobytes()
 
 
+@pytest.fixture
+def forked_pool(monkeypatch):
+    """Make run_sweep's pool fork its workers, so they see this test's
+    monkeypatches. Fork is not the default start method everywhere (Python
+    3.14 starts Linux workers from a forkserver), and a spawned worker
+    would import the unpatched module."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    forked = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", forked)
+
+
 class TestRunSweep:
     def test_row_count_one_per_combination(self):
         rows = sweep_rows(tiny_config())
@@ -273,9 +287,9 @@ class TestRunSweep:
             assert maps[name] == pgm_bytes(bev)
             assert maps[name].startswith(b"P5\n128 128\n255\n")
 
-    def test_parallel_matches_serial(self, monkeypatch):
+    def test_parallel_matches_serial(self, monkeypatch, forked_pool):
         cfg = tiny_config(replicates=2)
-        # Pool workers are forked, so they return the float64 BEVs' bytes too.
+        # The forked workers return the float64 BEVs' bytes too.
         monkeypatch.setattr(bench, "pgm_bytes", float_bytes)
         serial = list(run_sweep(cfg, jobs=1, want_heatmaps=True))
         parallel = list(run_sweep(cfg, jobs=2, want_heatmaps=True))
@@ -644,13 +658,18 @@ class TestCli:
         assert list((out_dir / "heatmaps").iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_failed_run_leaves_no_report_or_temp_file(self, tmp_path, monkeypatch, jobs):
+    def test_failed_run_leaves_no_report_or_temp_file(
+        self, tmp_path, monkeypatch, forked_pool, jobs
+    ):
         monkeypatch.setattr(bench, "_run_task", fail_third_replicate)
         payload = {
             "corruptions": [{"kind": "PointShifting", "levels": [5]}],
             "pipelines": ["raw"],
             "replicates": 5,
         }
+        # An earlier run's report must not be left beside this run's heatmaps.
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "report.csv").write_text("an earlier run's report\n")
         code, out_dir = self.run_config(tmp_path, payload, "--jobs", jobs, "--emit-heatmaps")
         assert code == 2
         assert list(out_dir.iterdir()) == [out_dir / "heatmaps"]

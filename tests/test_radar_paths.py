@@ -171,46 +171,6 @@ class TestDepositOracle:
         assert [p.lambda_p for p in got] == expected
         assert all(p.sigma == p.lambda_p / 3.0 for p in got)
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [2.5],
-            [-0.0],
-            [3.0, 1.0],
-            [1.0, -2.0, 7.5],
-            [0.0, -0.0, 0.0, -0.0, 1.0],
-            [4.0] * 9,
-            [1e308, -1e308, 1e308, 0.5],
-        ],
-    )
-    def test_quartiles_equal_np_percentile_bit_for_bit(self, values):
-        assert_quartiles_match(np.array(values))
-
-    def test_quartiles_of_scene_clouds_with_ties(self):
-        gen = np.random.default_rng(37)
-        for n in (80, 81, 82, 83):
-            rcs = gen.uniform(0.5, 10.0, n)
-            for x in (rcs, np.round(rcs), np.where(rcs < 3, -0.0, np.floor(rcs / 4))):
-                assert_quartiles_match(x)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.floats(allow_nan=False, allow_infinity=False)
-            | st.sampled_from([0.0, -0.0, 1.0, 5e-324]),
-            min_size=1,
-            max_size=120,
-        )
-    )
-    def test_quartiles_hypothesis(self, values):
-        assert_quartiles_match(np.array(values))
-
-
-def assert_quartiles_match(x):
-    # np.percentile warns on the same overflowing differences.
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert expansion._quartiles(x).tobytes() == np.percentile(x, [25.0, 75.0]).tobytes()
-
 
 def loop_project(rcs, v, weights):
     """The projector on one point: two matrix-vector products."""
