@@ -386,9 +386,9 @@ def _pipeline_bevs(
 ) -> dict[str, np.ndarray]:
     """BEV heatmaps of a cloud under "raw" and each named pipeline.
 
-    The cloud is binned once and its kernel params are grouped once,
-    however many pipelines expand it, and no dense grid is merged or
-    projected (see ``residual_bevs``).
+    The cloud is binned once, its kernel params are grouped once and one
+    entry pass serves every pipeline that expands it; no dense grid is
+    merged or projected (see ``residual_bevs``).
     """
     for pipeline in pipelines:
         if pipeline not in PIPELINES:

@@ -73,10 +73,8 @@ def _cmd_run(args) -> int:
     elapsed = time.perf_counter() - started
     good = rows_by_error.pop(None, 0)
     errors = sum(rows_by_error.values())
-    print(
-        f"wrote {good + errors} rows ({errors} errored) to {report} in {elapsed:.2f}s",
-        file=sys.stderr,
-    )
+    took = f"the sweep and its writes took {elapsed:.2f}s"
+    print(f"wrote {good + errors} rows ({errors} errored) to {report}; {took}", file=sys.stderr)
     for error, count in rows_by_error.items():
         print(f"  {count} rows: {error}", file=sys.stderr)
     return 0

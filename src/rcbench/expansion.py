@@ -177,18 +177,34 @@ def build_kernel(side: int, sigma, exponent_mode: str = PLANAR_XY) -> np.ndarray
     return cubes.reshape(sigma.shape + (side,) * 3)
 
 
-def _entries(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray):
-    """Yield ``(flat cell, weight, point)`` blocks of DEPOSIT_BLOCK_POINTS
-    points, for point i's kernel ``which[i]`` centered on ``cells[:, i]``.
+def _kernel_groups(params, mask: np.ndarray, exponent_modes):
+    """Check one record per point of a cloud with in-range points ``mask``,
+    and number one kernel per distinct (side, sigma): ``(groups, which,
+    tables)``, with ``[(side, sigmas), ...]`` side after side, each in-range
+    point's kernel, and per mode every raveled cube of those same kernels."""
+    if not exponent_modes:
+        return [], None, []
+    checked = kernel_params(params["lambda_p"], params["sigma"])
+    if len(checked) != len(mask):
+        raise ValueError(f"{len(checked)} kernel params for {len(mask)} points")
+    # Complex numbers sort by real part first, so kernels go side after side.
+    kinds, which = np.unique(checked["lambda_p"] + 1j * checked["sigma"], return_inverse=True)
+    groups = [(side, kinds.imag[kinds.real == side]) for side in LAMBDA_CHOICES]
+    cubes = [[build_kernel(s, sig, mode).ravel() for s, sig in groups] for mode in exponent_modes]
+    return groups, which[mask], [np.concatenate(c) for c in cubes]
 
-    ``kernels`` is a list of (k, side, side, side) stacks, numbered stack
-    after stack. Cells outside the grid are dropped, and entries come in
-    point order, each kernel's in C order.
-    """
-    # One column per kernel cell, kernel after kernel: its per-axis offsets and weight.
-    offsets = np.concatenate([np.tile(_FOOTPRINTS[k.shape[-1]], len(k)) for k in kernels], axis=1)
-    weights = np.concatenate([k.ravel() for k in kernels])
-    sizes = np.concatenate([np.full(len(k), k.shape[-1] ** 3) for k in kernels])
+
+def _entries(spec: GridSpec, cells: np.ndarray, groups, which: np.ndarray, rank: np.ndarray):
+    """Yield ``(flat cell, kernel cell, point)`` blocks of DEPOSIT_BLOCK_POINTS
+    points, for point i's kernel ``which[i]`` (numbered as ``_kernel_groups``
+    does) centered on ``cells[:, i]``. Grid cell (x, y, z) is flat cell
+    ``rank[x * ny + y] * nz + z`` of a table of columns, and kernel cell c
+    indexes every mode's weight table alike, so one block serves them all.
+    Cells outside the grid are dropped, and entries come in point order, each
+    kernel's in C order."""
+    # One column per kernel cell, kernel after kernel: its per-axis offsets.
+    offsets = np.concatenate([np.tile(_FOOTPRINTS[s], len(sig)) for s, sig in groups], axis=1)
+    sizes = np.concatenate([np.full(len(sigmas), side**3) for side, sigmas in groups])
     starts = np.cumsum(sizes) - sizes
     nx, ny, nz = spec.cells
     for lo in range(0, len(which), DEPOSIT_BLOCK_POINTS):
@@ -201,48 +217,62 @@ def _entries(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray):
         x, y, z = (c[point] + d[row] for c, d in zip(cells, offsets))
         # A negative index reads as a huge unsigned one, so one compare bounds each axis.
         inside = (x.view(np.uint64) < nx) & (y.view(np.uint64) < ny) & (z.view(np.uint64) < nz)
-        block = ((x * ny + y) * nz + z)[inside], weights[row[inside]], point[inside]
+        block = rank[(x * ny + y)[inside]] * nz + z[inside], row[inside], point[inside]
         # Only the block stays alive while the caller works on it.
         del point, row, x, y, z, inside
         yield block
 
 
-def _summed(spec: GridSpec, cells: np.ndarray, kernels, which: np.ndarray, cols, *values):
-    """Each of ``values`` spread through the entries, summed into a
-    ``(len(cols), nz)`` table of the grid's (x, y) columns ``cols``, all of
-    them for the flat grid; every entry must fall in the table. ``np.add.at``
-    takes the entries in point order, so every cell sums in point order
-    whatever the block size or table."""
+def _summed(cloud: PointCloud, spec: GridSpec, params, exponent_modes, dense: bool, *values):
+    """``(mask, cells, cols, tables)``: each of ``values`` (one per point)
+    summed into ``(len(cols), nz)`` tables of the grid's (x, y) columns
+    ``cols``, every one if ``dense``, else those the kernels can reach. The
+    first table bins each point's value at its own cell, as a unit kernel's
+    ``1.0 * v`` did bit for bit; one per mode follows, adding ``w[kernel cell]
+    * v[point]`` from one ``_entries`` pass. ``np.add.at`` adds in point order,
+    so every cell sums in point order whatever the block size or table."""
+    mask, *cells = voxel_indices(spec, cloud.xyz)
+    cells, values = np.stack(cells)[:, mask], [v[mask] for v in values]
+    groups, which, tables = _kernel_groups(params, mask, exponent_modes)
     nx, ny, nz = spec.cells
+    # All columns, or those a deposit can touch: the points' own, widened by the
+    # largest kernel's reach. A column no entry reaches sums to 0.0, as if untouched.
+    near = np.full((nx, ny), dense)
+    near[cells[0], cells[1]] = True
+    for _ in range(max([(side - 1) // 2 for side, sigmas in groups if len(sigmas)], default=0)):
+        near[1:] |= near[:-1]
+        near[:-1] |= near[1:]
+        near[:, 1:] |= near[:, :-1]
+        near[:, :-1] |= near[:, 1:]
+    cols = np.flatnonzero(near)
     rank = np.empty(nx * ny, np.intp)
     rank[cols] = np.arange(len(cols))
-    sums = np.zeros((len(values), len(cols) * nz))
-    for flat, w, point in _entries(spec, cells, kernels, which):
-        flat = rank[flat // nz] * nz + flat % nz
-        for total, v in zip(sums, values):
-            np.add.at(total, flat, w * v[point])
-    return sums
+    # One array per table, so a caller can keep one without the others.
+    sums = [np.zeros((len(values), len(cols) * nz)) for _ in range(1 + len(tables))]
+    for total, v in zip(sums[0], values):
+        np.add.at(total, rank[cells[0] * ny + cells[1]] * nz + cells[2], v)
+    for flat, cell, point in _entries(spec, cells, groups, which, rank) if tables else ():
+        for table, w in zip(sums[1:], tables):
+            w = w[cell]
+            for total, v in zip(table, values):
+                np.add.at(total, flat, w * v[point])
+    return mask, cells, cols, sums
+
+
+def _grid(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> VoxelGrid:
+    """``voxelize``'s grid with no modes, else the one mode's ``expand``."""
+    mask, cells, _, sums = _summed(cloud, spec, params, exponent_modes, True, cloud.rcs, cloud.v)
+    rcs, vel = read_only(sums[-1].reshape(2, *spec.cells))
+    count = np.zeros(spec.cells, dtype=np.int64)
+    np.add.at(count, tuple(cells), 1)
+    return VoxelGrid(spec, rcs, vel, read_only(count), out_of_range=int(np.count_nonzero(~mask)))
 
 
 def voxelize(cloud: PointCloud, spec: GridSpec) -> VoxelGrid:
-    """Bin points into the grid, accumulating RCS/velocity sums and counts:
-    the expansion with a unit kernel per point, whose weight is exactly 1.
-
-    Out-of-range points are skipped; their number is reported on the
-    returned grid's ``out_of_range`` field.
-    """
-    return expand(cloud, spec, kernel_params(1, np.ones(len(cloud))))
-
-
-def _kernel_groups(params, n: int):
-    """Check one record per point of an n-point cloud, and number one kernel
-    per distinct sigma of each side: ``(which, [(side, sigmas), ...])``."""
-    checked = kernel_params(params["lambda_p"], params["sigma"])
-    if len(checked) != n:
-        raise ValueError(f"{len(checked)} kernel params for {n} points")
-    # Complex numbers sort by real part first, so kernels go side after side.
-    kinds, which = np.unique(checked["lambda_p"] + 1j * checked["sigma"], return_inverse=True)
-    return which, [(side, kinds.imag[kinds.real == side]) for side in LAMBDA_CHOICES]
+    """Bin points into the grid, accumulating RCS/velocity sums and counts at
+    each point's own cell, in point order; no kernel is built. Out-of-range
+    points are skipped, and the grid's ``out_of_range`` field counts them."""
+    return _grid(cloud, spec, None, ())
 
 
 def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANAR_XY) -> VoxelGrid:
@@ -253,51 +283,22 @@ def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANA
     weight is lost (zero-padding semantics; no border re-normalization),
     which keeps the operation linear in the input cloud.
     """
-    which, groups = _kernel_groups(params, len(cloud))
-    kernels = [build_kernel(side, sigmas, exponent_mode) for side, sigmas in groups]
-    mask, *cells = voxel_indices(spec, cloud.xyz)
-    cells = np.stack(cells)[:, mask]
-    all_cols = np.arange(spec.cells[0] * spec.cells[1])
-    sums = _summed(spec, cells, kernels, which[mask], all_cols, cloud.rcs[mask], cloud.v[mask])
-    rcs, vel = sums.reshape(2, *spec.cells)
-    count = np.zeros(spec.cells, dtype=np.int64)
-    np.add.at(count, tuple(cells), 1)
-    fields = (read_only(rcs), read_only(vel), read_only(count))
-    return VoxelGrid(spec, *fields, out_of_range=int(np.count_nonzero(~mask)))
+    return _grid(cloud, spec, params, (exponent_mode,))
 
 
 def residual_bevs(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> list[np.ndarray]:
     """``bev_project`` of ``voxelize``, then of ``merge_residual`` with each
-    mode's ``expand``, bit for bit; ``params`` is unused with no modes. Each
-    grid sums only RCS, into a table of only the (x, y) columns its kernels
-    can reach, so no dense grid is built.
+    mode's ``expand``, bit for bit; ``params`` is unused with no modes. The raw
+    RCS is binned and one entry pass deposits every mode's, all into tables of
+    only the (x, y) columns the kernels can reach, so no dense grid is built.
     """
-    mask, *cells = voxel_indices(spec, cloud.xyz)
-    cells, rcs_in = np.stack(cells)[:, mask], cloud.rcs[mask]
-    which, groups = _kernel_groups(params, len(cloud)) if exponent_modes else (None, [])
+    _, _, cols, sums = _summed(cloud, spec, params, exponent_modes, False, cloud.rcs)
     nx, ny, nz = spec.cells
-    # The columns a deposit can touch: the points' own, widened by the largest
-    # kernel's reach. A column no entry reaches sums to 0.0, as if untouched.
-    near = np.zeros((nx, ny), dtype=bool)
-    near[cells[0], cells[1]] = True
-    for _ in range(max([(side - 1) // 2 for side, sigmas in groups if len(sigmas)], default=0)):
-        near[1:] |= near[:-1]
-        near[:-1] |= near[1:]
-        near[:, 1:] |= near[:, :-1]
-        near[:, :-1] |= near[:, 1:]
-    cols = np.flatnonzero(near)
-    unit = [np.ones((1, 1, 1, 1))]
-    sums = [_summed(spec, cells, unit, np.zeros(len(rcs_in), np.intp), cols, rcs_in)]
-    for mode in exponent_modes:
-        kernels = [build_kernel(side, sigmas, mode) for side, sigmas in groups]
-        sums.append(_summed(spec, cells, kernels, which[mask], cols, rcs_in))
     raw, *expanded = (rcs.reshape(len(cols), nz) for (rcs,) in sums)
-    bevs = []
-    for merged in [raw] + [raw + e for e in expanded]:
-        bev = np.zeros(nx * ny)
+    bevs = np.zeros((len(sums), nx * ny))
+    for bev, merged in zip(bevs, [raw] + [raw + e for e in expanded]):
         bev[cols] = np.abs(merged).sum(axis=1)
-        bevs.append(bev.reshape(nx, ny))
-    return bevs
+    return list(bevs.reshape(-1, nx, ny))
 
 
 def merge_residual(original: VoxelGrid, expanded: VoxelGrid) -> VoxelGrid:

@@ -1,6 +1,7 @@
 """Radar-path tests: the shared entry builder against a per-point loop
-oracle, the kernel-param arrays, batched kernels and batched projector
-against one-at-a-time oracles, one binning per cloud and one box mask per
+oracle, direct binning against the unit-kernel deposit, the kernel-param
+arrays, batched kernels and batched projector against one-at-a-time
+oracles, one binning and one entry pass per cloud and one box mask per
 sweep task, the sweep's BEVs from the entries against the dense-grid
 pipeline, bounded Chamfer and BEV memory, and grid indexing of extreme or
 out-of-grid coordinates.
@@ -158,6 +159,28 @@ class TestDepositOracle:
         assert np.array_equal(whole.vel, blocked.vel)
         vox = voxelize(cloud, small_grid())
         assert np.array_equal(vox.count, blocked.count)
+
+    def test_binning_equals_unit_kernel_deposit_bytes(self):
+        # voxelize adds v where a unit kernel added 1.0 * v; signed zeros,
+        # subnormals and point-order sums in shared cells must keep every bit.
+        gen = np.random.default_rng(36)
+        cloud = border_cloud(36, n=2000)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e-300]
+        data = cloud.data.copy()
+        for col in (3, 4):
+            data[:, col] = np.where(
+                gen.random(len(data)) < 0.6, gen.choice(special, len(data)), data[:, col]
+            )
+        cloud = cloud.with_data(data)
+        unit = kernel_params(1, np.ones(len(cloud)))
+        grid = voxelize(cloud, small_grid())
+        rcs, vel, count, out = loop_expand(cloud, small_grid(), unit, PLANAR_XY)
+        assert grid.rcs.tobytes() == rcs.tobytes()
+        assert grid.vel.tobytes() == vel.tobytes()
+        assert grid.count.tobytes() == count.tobytes()
+        assert grid.out_of_range == out > 0
+        tiny = np.abs(grid.rcs[grid.rcs != 0]) < np.finfo(np.float64).tiny
+        assert tiny.any() and count.max() > 2
 
     def test_heuristic_select_matches_if_chain(self):
         gen = np.random.default_rng(36)
@@ -345,6 +368,32 @@ class TestOneVoxelizationPerCloud:
         tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
         sweep_rows(cfg)
         assert calls == {"voxel_indices": 2 * tasks, "metric_chamfer": tasks}
+
+    @pytest.mark.parametrize("pipelines, passes", [(PIPELINES, 2), (("raw",), 0)])
+    def test_one_entry_pass_per_cloud(self, monkeypatch, pipelines, passes):
+        # The planar and isotropic deposits share one pass; raw sums are binned.
+        calls = []
+        original = expansion._entries
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(expansion, "_entries", counted)
+        cfg = multi_config(pipelines=pipelines)
+        tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
+        sweep_rows(cfg)
+        assert len(calls) == passes * tasks
+
+    def test_voxelize_builds_no_kernel_and_no_entries(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("voxelize must bin points directly")
+
+        monkeypatch.setattr(expansion, "_entries", forbidden)
+        monkeypatch.setattr(expansion, "build_kernel", forbidden)
+        cloud = border_cloud(37)
+        grid = voxelize(cloud, small_grid())
+        assert grid.count.sum() + grid.out_of_range == len(cloud)
 
     def test_box_mask_built_once_per_task(self):
         bench._planar_box_mask.cache_clear()
