@@ -8,7 +8,6 @@ suppression and peak preservation into CSV reports and PGM heatmaps.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -32,9 +31,11 @@ from .core import (
     default_grid,
     derive64,
     float_bits,
+    in_box_footprint,
     is_int,
     is_real,
     read_only,
+    write_csv,
 )
 from .corruption import (
     DEFAULT_BEAM_COUNT,
@@ -61,9 +62,9 @@ from .expansion import (  # noqa: F401
     residual_bevs,
     voxelize,
 )
+from .imaging import pnm_bytes
 
 PIPELINES = ("raw", "3dge_planar", "3dge_isotropic")
-PROJECTOR_MODES = ("heuristic", "weights-file")
 
 # Point-pair distances metric_chamfer holds at once, about.
 CHAMFER_BLOCK = 1 << 18
@@ -190,7 +191,7 @@ class SweepConfig:
     grid: GridSpec = field(default_factory=default_grid)
     corruptions: tuple[SweepEntry, ...] = ()
     pipelines: tuple[str, ...] = ("raw", "3dge_planar")
-    projector: str = "heuristic"
+    # The learned projector's weights file; None selects the heuristic.
     projector_weights: str | None = None
     replicates: int = 10
     master_seed: int = 0
@@ -208,12 +209,10 @@ class SweepConfig:
                 raise ConfigError(f"unknown pipeline {pipeline!r}")
         if len(set(self.pipelines)) != len(self.pipelines):
             raise ConfigError(f"duplicate pipeline in {list(self.pipelines)}")
-        if self.projector not in PROJECTOR_MODES:
-            raise ConfigError(f"unknown projector mode {self.projector!r}")
-        if self.projector == "weights-file" and not (
+        if self.projector_weights is not None and not (
             isinstance(self.projector_weights, str) and self.projector_weights
         ):
-            raise ConfigError("projector mode 'weights-file' requires a weights path")
+            raise ConfigError("projector_weights must be a non-empty path or null")
         if not is_int(self.replicates) or self.replicates < 1:
             raise ConfigError("replicates must be a positive integer")
         if not is_int(self.total_beams) or self.total_beams < 1:
@@ -420,18 +419,9 @@ def _planar_box_mask(bev_shape: tuple, boxes: tuple, spec: GridSpec) -> np.ndarr
     csx, csy, _ = spec.cell_sizes
     centers_x = spec.x_range[0] + (np.arange(nx) + 0.5) * csx
     centers_y = spec.y_range[0] + (np.arange(ny) + 0.5) * csy
-    gx = centers_x[:, None]
-    gy = centers_y[None, :]
     mask = np.zeros((nx, ny), dtype=bool)
     for box in boxes:
-        dx = gx - box.center[0]
-        dy = gy - box.center[1]
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        local_x = c * dx + s * dy
-        local_y = -s * dx + c * dy
-        mask |= (np.abs(local_x) <= box.size[0] / 2.0) & (
-            np.abs(local_y) <= box.size[1] / 2.0
-        )
+        mask |= in_box_footprint(centers_x[:, None], centers_y[None, :], box)
     if not mask.any():
         raise ValueError("no grid cells fall inside the boxes")
     return read_only(mask)
@@ -708,7 +698,7 @@ def run_sweep(
     weights file raises ``ConfigError`` from this call, before any task runs.
     """
     weights = None
-    if cfg.projector == "weights-file":
+    if cfg.projector_weights is not None:
         try:
             weights = load_projector_weights(cfg.projector_weights)
         except (OSError, ValueError) as exc:
@@ -759,27 +749,22 @@ def write_report_csv(rows, path, include_timing: bool = False) -> None:
     Rows go to ``<path>.tmp``, renamed over ``path`` after the last one, so
     ``path`` never holds a partial report; on failure the temporary is removed.
     """
+
+    def record(row):
+        cells = [row.kind, repr(float(row.level)), str(row.replicate), row.pipeline]
+        # The metric columns, in the header's order.
+        cells.extend(_format_cell(getattr(row, name)) for name in REPORT_COLUMNS[4:-1])
+        if not include_timing:
+            cells.append("")
+        elif row.wall_ms is None:
+            cells.append("ERROR")
+        else:
+            cells.append(f"{row.wall_ms:.3f}")
+        return cells
+
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(REPORT_COLUMNS)
-            for row in rows:
-                record = [
-                    row.kind,
-                    repr(float(row.level)),
-                    str(row.replicate),
-                    row.pipeline,
-                ]
-                # The metric columns, in the header's order.
-                record.extend(_format_cell(getattr(row, name)) for name in REPORT_COLUMNS[4:-1])
-                if not include_timing:
-                    record.append("")
-                elif row.wall_ms is None:
-                    record.append("ERROR")
-                else:
-                    record.append(f"{row.wall_ms:.3f}")
-                writer.writerow(record)
+        write_csv(tmp, REPORT_COLUMNS, map(record, rows))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -799,8 +784,7 @@ def pgm_bytes(bev: np.ndarray) -> bytes:
         q = np.floor((a - vmin) * 255.0 / (vmax - vmin))
     else:
         q = np.zeros_like(a)
-    pixels = np.clip(q, 0.0, 255.0).astype(np.uint8)
-    return b"P5\n%d %d\n255\n" % (a.shape[1], a.shape[0]) + pixels.tobytes()
+    return pnm_bytes(np.clip(q, 0.0, 255.0).astype(np.uint8))
 
 
 def emit_heatmap(bev: np.ndarray, path) -> None:
@@ -859,16 +843,14 @@ def gen_manifest(
 
 
 def write_manifest_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("scene_id", "group", "kind", "level", "seed"))
-        for row in rows:
-            writer.writerow(
-                (
-                    str(row.scene_id),
-                    row.group,
-                    row.kind if row.kind is not None else "",
-                    repr(float(row.level)) if row.level is not None else "",
-                    str(row.seed),
-                )
-            )
+    records = (
+        (
+            str(row.scene_id),
+            row.group,
+            row.kind if row.kind is not None else "",
+            repr(float(row.level)) if row.level is not None else "",
+            str(row.seed),
+        )
+        for row in rows
+    )
+    write_csv(path, ("scene_id", "group", "kind", "level", "seed"), records)

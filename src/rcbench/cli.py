@@ -102,12 +102,13 @@ def _cmd_corrupt(args) -> int:
             f"{sorted(KIND_ALIASES)}"
         )
     kind = KIND_ALIASES[kind_key]
-    cloud = read_point_cloud_csv(args.in_path)
     try:
+        cloud = read_point_cloud_csv(args.in_path)
         spec = spec_for_level(kind, args.level, args.seed)
         corrupted = apply_corruption(cloud, spec, bounds=default_grid())
-    except ValueError as exc:
-        # A bad level, or one this cloud cannot take, e.g. more points than it holds.
+    except (OSError, ValueError) as exc:
+        # An unreadable or malformed --in file, a bad level, or one this cloud
+        # cannot take, e.g. more points than it holds.
         raise ConfigError(str(exc)) from exc
     write_point_cloud_csv(corrupted, args.out)
     print(
@@ -118,11 +119,10 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_gen_manifest(args) -> int:
-    if args.count < 1:
-        raise ConfigError("--count must be at least 1")
-    if not 0.0 <= args.clean_ratio <= 1.0:
-        raise ConfigError("--clean-ratio must lie in [0, 1]")
-    rows = gen_manifest(args.count, args.clean_ratio, master_seed=args.seed)
+    try:
+        rows = gen_manifest(args.count, args.clean_ratio, master_seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     write_manifest_csv(rows, args.out)
     noisy = sum(1 for row in rows if row.group == "noisy")
     print(f"wrote {len(rows)} scenes ({noisy} noisy) to {args.out}", file=sys.stderr)

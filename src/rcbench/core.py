@@ -260,21 +260,23 @@ class VoxelGrid:
             raise ValueError("count field must be non-negative")
 
 
-def points_in_box_mask(xyz: np.ndarray, box: BoxAnnotation) -> np.ndarray:
-    """Membership test for an (n, 3) position array against the box's
-    yaw-rotated half-extents; boundaries are inclusive on every axis."""
-    cx, cy, cz = box.center
-    dx = xyz[:, 0] - cx
-    dy = xyz[:, 1] - cy
-    dz = xyz[:, 2] - cz
+def in_box_footprint(x, y, box: BoxAnnotation) -> np.ndarray:
+    """Whether planar positions fall in the box's yaw-rotated length and
+    width, boundaries inclusive; ``x`` and ``y`` broadcast together."""
+    dx = x - box.center[0]
+    dy = y - box.center[1]
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     # Rotate the offset into the box frame (inverse planar rotation).
     local_x = c * dx + s * dy
     local_y = -s * dx + c * dy
-    hl, hw, hh = box.size[0] / 2.0, box.size[1] / 2.0, box.size[2] / 2.0
-    return (
-        (np.abs(local_x) <= hl) & (np.abs(local_y) <= hw) & (np.abs(dz) <= hh)
-    )
+    return (np.abs(local_x) <= box.size[0] / 2.0) & (np.abs(local_y) <= box.size[1] / 2.0)
+
+
+def points_in_box_mask(xyz: np.ndarray, box: BoxAnnotation) -> np.ndarray:
+    """Membership test for an (n, 3) position array: the box footprint plus
+    its height; boundaries are inclusive on every axis."""
+    dz = xyz[:, 2] - box.center[2]
+    return in_box_footprint(xyz[:, 0], xyz[:, 1], box) & (np.abs(dz) <= box.size[2] / 2.0)
 
 
 def points_in_any_box_mask(xyz: np.ndarray, boxes) -> np.ndarray:
@@ -312,68 +314,55 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def write_point_cloud_csv(cloud: PointCloud, path) -> None:
-    """Write the mandatory-header `frame_id,x,y,z,rcs,v` format."""
+def write_csv(path, header, records) -> None:
+    """Write ``header``, then each record, as CSV lines ending in a bare newline."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(POINT_CLOUD_CSV_HEADER)
-        for row in cloud.data:
-            writer.writerow([cloud.frame_id] + [_format_float(v) for v in row])
+        writer.writerow(header)
+        writer.writerows(records)
+
+
+def read_csv_records(path, header, what: str) -> list[list[str]]:
+    """The non-blank records of a CSV file that starts with ``header``, each
+    checked to be as wide; ``what`` names the format in errors."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None or tuple(found) != header:
+            raise ValueError(f"bad {what} CSV header in {path}: {found}")
+        records = [record for record in reader if record]
+    for record in records:
+        if len(record) != len(header):
+            raise ValueError(f"bad {what} CSV row: {record}")
+    return records
+
+
+def write_point_cloud_csv(cloud: PointCloud, path) -> None:
+    """Write the mandatory-header `frame_id,x,y,z,rcs,v` format."""
+    rows = ([cloud.frame_id] + [_format_float(v) for v in row] for row in cloud.data)
+    write_csv(path, POINT_CLOUD_CSV_HEADER, rows)
 
 
 def read_point_cloud_csv(path) -> PointCloud:
     """Read a single-frame point cloud; row order is preserved."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != POINT_CLOUD_CSV_HEADER:
-            raise ValueError(f"bad point-cloud CSV header in {path}: {header}")
-        frame_id = None
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            if len(record) != 6:
-                raise ValueError(f"bad point-cloud CSV row: {record}")
-            if frame_id is None:
-                frame_id = record[0]
-            elif record[0] != frame_id:
-                raise ValueError(
-                    f"multiple frame ids in {path}: {frame_id!r} vs {record[0]!r}"
-                )
-            rows.append([float(v) for v in record[1:]])
-    data = np.array(rows, dtype=np.float64) if rows else np.empty((0, 5))
-    return PointCloud(data=data, frame_id=frame_id if frame_id is not None else "0")
+    records = read_csv_records(path, POINT_CLOUD_CSV_HEADER, "point-cloud")
+    frame_id = records[0][0] if records else "0"
+    for record in records:
+        if record[0] != frame_id:
+            raise ValueError(f"multiple frame ids in {path}: {frame_id!r} vs {record[0]!r}")
+    rows = [[float(v) for v in record[1:]] for record in records]
+    return PointCloud(data=rows, frame_id=frame_id)
 
 
 def write_boxes_csv(boxes, path, frame_id: str = "0") -> None:
     """Write the `frame_id,cx,cy,cz,l,w,h,yaw` annotation format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BOX_CSV_HEADER)
-        for box in boxes:
-            values = list(box.center) + list(box.size) + [box.yaw]
-            writer.writerow([frame_id] + [_format_float(v) for v in values])
+    rows = ([frame_id] + [_format_float(v) for v in (*b.center, *b.size, b.yaw)] for b in boxes)
+    write_csv(path, BOX_CSV_HEADER, rows)
 
 
 def read_boxes_csv(path) -> tuple[BoxAnnotation, ...]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != BOX_CSV_HEADER:
-            raise ValueError(f"bad box CSV header in {path}: {header}")
-        boxes = []
-        for record in reader:
-            if not record:
-                continue
-            if len(record) != 8:
-                raise ValueError(f"bad box CSV row: {record}")
-            vals = [float(v) for v in record[1:]]
-            boxes.append(
-                BoxAnnotation(
-                    center=(vals[0], vals[1], vals[2]),
-                    size=(vals[3], vals[4], vals[5]),
-                    yaw=vals[6],
-                )
-            )
+    boxes = []
+    for record in read_csv_records(path, BOX_CSV_HEADER, "box"):
+        cx, cy, cz, length, width, height, yaw = (float(v) for v in record[1:])
+        boxes.append(BoxAnnotation(center=(cx, cy, cz), size=(length, width, height), yaw=yaw))
     return tuple(boxes)

@@ -93,14 +93,18 @@ def save_projector_weights(weights: ProjectorWeights, path) -> None:
 
 
 def load_projector_weights(path) -> ProjectorWeights:
+    """Read a weights file; any malformed payload raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"projector weights must be a JSON object, got {type(payload).__name__}")
     try:
-        return ProjectorWeights(
-            w1=payload["w1"], b1=payload["b1"], w2=payload["w2"], b2=payload["b2"]
-        )
+        return ProjectorWeights(**{name: payload[name] for name in ("w1", "b1", "w2", "b2")})
     except KeyError as exc:
         raise ValueError(f"projector weights file missing block {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        # A block that is no array of numbers: an object, or an integer beyond float64.
+        raise ValueError(f"malformed projector weights: {exc}") from exc
 
 
 def project_params(rcs, v, weights: ProjectorWeights) -> np.recarray:
@@ -223,14 +227,17 @@ def _entries(spec: GridSpec, cells: np.ndarray, groups, which: np.ndarray, rank:
         yield block
 
 
-def _summed(cloud: PointCloud, spec: GridSpec, params, exponent_modes, dense: bool, *values):
+def _summed(
+    cloud: PointCloud, spec: GridSpec, params, exponent_modes, dense: bool, *values, binned=True
+):
     """``(mask, cells, cols, tables)``: each of ``values`` (one per point)
     summed into ``(len(cols), nz)`` tables of the grid's (x, y) columns
-    ``cols``, every one if ``dense``, else those the kernels can reach. The
-    first table bins each point's value at its own cell, as a unit kernel's
-    ``1.0 * v`` did bit for bit; one per mode follows, adding ``w[kernel cell]
-    * v[point]`` from one ``_entries`` pass. ``np.add.at`` adds in point order,
-    so every cell sums in point order whatever the block size or table."""
+    ``cols``, every one if ``dense``, else those the kernels can reach. If
+    ``binned``, the first table bins each point's value at its own cell, as a
+    unit kernel's ``1.0 * v`` did bit for bit; one per mode follows, adding
+    ``w[kernel cell] * v[point]`` from one ``_entries`` pass. ``np.add.at``
+    adds in point order, so every cell sums in point order whatever the
+    block size or table."""
     mask, *cells = voxel_indices(spec, cloud.xyz)
     cells, values = np.stack(cells)[:, mask], [v[mask] for v in values]
     groups, which, tables = _kernel_groups(params, mask, exponent_modes)
@@ -248,11 +255,11 @@ def _summed(cloud: PointCloud, spec: GridSpec, params, exponent_modes, dense: bo
     rank = np.empty(nx * ny, np.intp)
     rank[cols] = np.arange(len(cols))
     # One array per table, so a caller can keep one without the others.
-    sums = [np.zeros((len(values), len(cols) * nz)) for _ in range(1 + len(tables))]
-    for total, v in zip(sums[0], values):
+    sums = [np.zeros((len(values), len(cols) * nz)) for _ in range(binned + len(tables))]
+    for total, v in zip(sums[0] if binned else (), values):
         np.add.at(total, rank[cells[0] * ny + cells[1]] * nz + cells[2], v)
     for flat, cell, point in _entries(spec, cells, groups, which, rank) if tables else ():
-        for table, w in zip(sums[1:], tables):
+        for table, w in zip(sums[binned:], tables):
             w = w[cell]
             for total, v in zip(table, values):
                 np.add.at(total, flat, w * v[point])
@@ -261,8 +268,10 @@ def _summed(cloud: PointCloud, spec: GridSpec, params, exponent_modes, dense: bo
 
 def _grid(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> VoxelGrid:
     """``voxelize``'s grid with no modes, else the one mode's ``expand``."""
-    mask, cells, _, sums = _summed(cloud, spec, params, exponent_modes, True, cloud.rcs, cloud.v)
-    rcs, vel = read_only(sums[-1].reshape(2, *spec.cells))
+    mask, cells, _, (sums,) = _summed(
+        cloud, spec, params, exponent_modes, True, cloud.rcs, cloud.v, binned=not exponent_modes
+    )
+    rcs, vel = read_only(sums.reshape(2, *spec.cells))
     count = np.zeros(spec.cells, dtype=np.int64)
     np.add.at(count, tuple(cells), 1)
     return VoxelGrid(spec, rcs, vel, read_only(count), out_of_range=int(np.count_nonzero(~mask)))

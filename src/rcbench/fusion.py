@@ -201,25 +201,12 @@ class FusionParams:
     out_conv: ConvParams
 
     def __post_init__(self) -> None:
-        c = self.ln_image.channels
-        if any(
-            ln.channels != c
-            for ln in (self.ln_radar, self.ln_weighted_image, self.ln_weighted_radar)
-        ):
-            raise ValueError("layer-norm channel widths disagree")
-        if self.conf_mlp.channels != c:
-            raise ValueError("confidence MLP input width must equal C")
-        if self.agg_w.w.shape != (c, 2 * c):
-            raise ValueError("aggregation projection must map 2C -> C")
-        for attn in (self.attn_plain, self.attn_weighted):
-            if attn.out_w.shape != (c, 2 * c):
-                raise ValueError("attention output projection must map 2C -> C")
-        if self.attn_plain.heads != self.attn_weighted.heads:
-            raise ValueError("branches must share a head count")
-        if self.attn_plain.points != self.attn_weighted.points:
-            raise ValueError("branches must share a sampling-point count")
-        if self.out_conv.kernel.shape[:2] != (c, c):
-            raise ValueError("output convolution must map C -> C")
+        # C comes from ln_image, heads and points from attn_plain; the parts
+        # check their own shapes, and the CMCA block table ties them together.
+        for name, shape in _block_shapes(self.channels, self.heads, self.points):
+            found = _block_value(self, name).shape
+            if found != shape:
+                raise ValueError(f"block {name} has shape {found}, want {shape}")
 
     @property
     def channels(self) -> int:
@@ -734,8 +721,6 @@ def save_fusion_params(
         fh.write(header)
         for name, shape in _block_shapes(c, heads, points):
             arr = np.ascontiguousarray(_block_value(params, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"block {name} has shape {arr.shape}, want {shape}")
             fh.write(arr.tobytes())
             shape_txt = "x".join(str(s) for s in shape)
             manifest_lines.append(f"{name} {shape_txt} {offset}")

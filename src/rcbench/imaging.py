@@ -268,22 +268,25 @@ def read_pnm(path) -> np.ndarray:
     return pixels.reshape(shape).astype(np.float64) / PNM_MAX_VALUE
 
 
+def pnm_bytes(pixels: np.ndarray) -> bytes:
+    """A uint8 raster as binary P5 (2-D) or P6 (3-D, 3ch) file bytes."""
+    if pixels.ndim == 2:
+        magic = b"P5"
+    elif pixels.ndim == 3 and pixels.shape[2] == 3:
+        magic = b"P6"
+    else:
+        raise ValueError(f"cannot encode array of shape {pixels.shape}")
+    header = b"%s\n%d %d\n%d\n" % (magic, pixels.shape[1], pixels.shape[0], PNM_MAX_VALUE)
+    return header + pixels.tobytes()
+
+
 def write_pnm(path, data: np.ndarray) -> None:
     """Write a [0, 1] float array as binary P5 (2-D) or P6 (3-D, 3ch)."""
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 2:
-        magic = b"P5"
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        magic = b"P6"
-    else:
-        raise ValueError(f"cannot encode array of shape {arr.shape}")
     if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("samples must lie in [0, 1]")
-    quantized = np.rint(arr * PNM_MAX_VALUE).astype(np.uint8)
-    header = b"%s\n%d %d\n%d\n" % (magic, arr.shape[1], arr.shape[0], PNM_MAX_VALUE)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(quantized.tobytes())
+        fh.write(pnm_bytes(np.rint(arr * PNM_MAX_VALUE).astype(np.uint8)))
 
 
 def load_image(path) -> ImagePlane:

@@ -33,14 +33,17 @@ from rcbench.bench import (
 from rcbench.cli import main
 from rcbench.core import (
     BoxAnnotation,
+    GridSpec,
     PointCloud,
     Rng,
     default_grid,
     derive64,
+    points_in_any_box_mask,
     points_in_box_mask,
     read_point_cloud_csv,
 )
 from rcbench.corruption import CorruptionKind, CorruptionSpec, apply_corruption
+from rcbench.expansion import PROJECTOR_HIDDEN, ProjectorWeights, save_projector_weights
 
 
 class TestGenScene:
@@ -114,6 +117,24 @@ class TestMetricSnr:
     def test_no_boxes_rejected(self):
         with pytest.raises(ValueError):
             metric_snr(np.ones((4, 4)), (), default_grid())
+
+    @pytest.mark.parametrize("yaw", [0.0, math.pi, -math.pi, math.pi / 2, 0.7, -2.3])
+    def test_box_mask_is_the_point_test_on_cell_centres(self, yaw):
+        # 1 m cells: at yaw 0 every box edge runs through a row of cell centres,
+        # and at yaw +-pi sin(yaw) nudges those centres to either side.
+        grid = GridSpec(x_range=(0, 8), y_range=(0, 6), z_range=(-1, 1), cells=(8, 6, 1))
+        boxes = (
+            BoxAnnotation(center=(3.5, 2.5, 0.0), size=(2.0, 4.0, 2.0), yaw=yaw),
+            BoxAnnotation(center=(6.0, 4.0, 0.0), size=(3.0, 1.0, 1.0), yaw=-yaw),
+        )
+        mask = bench._planar_box_mask((8, 6), boxes, grid)
+        cx, cy = np.meshgrid(np.arange(8) + 0.5, np.arange(6) + 0.5, indexing="ij")
+        centres = np.column_stack([cx.ravel(), cy.ravel(), np.zeros(cx.size)])
+        assert np.array_equal(mask.ravel(), points_in_any_box_mask(centres, boxes))
+        if yaw == 0.0:
+            # Corner centres are inside: 3 x 5 cells and 4 x 2 cells, 2 shared.
+            assert mask[2, 0] and mask[4, 4] and mask[7, 3]
+            assert mask.sum() == 21
 
 
 class TestMetricPeak:
@@ -435,7 +456,7 @@ class TestSweepStream:
         assert [rows[0].replicate for rows, _ in stream] == [1, 2]
 
     def test_bad_weights_raise_before_any_task_runs(self, tmp_path):
-        cfg = tiny_config(projector="weights-file", projector_weights=str(tmp_path / "no.json"))
+        cfg = tiny_config(projector_weights=str(tmp_path / "no.json"))
         for jobs in (1, 2):
             with pytest.raises(ConfigError, match="cannot load projector weights"):
                 run_sweep(cfg, jobs=jobs)
@@ -552,8 +573,28 @@ class TestSweepConfigJson:
             sweep_config_from_json_dict({"pipelines": ["raw", "magic"]})
 
     def test_weights_mode_requires_path(self):
-        with pytest.raises(ConfigError, match="weights"):
-            sweep_config_from_json_dict({"projector": "weights-file"})
+        for weights in ("", 3, [], ["a.json"], False):
+            with pytest.raises(ConfigError, match="projector_weights must be a non-empty path"):
+                sweep_config_from_json_dict({"projector_weights": weights})
+
+    def test_a_weights_path_is_always_loaded(self, tmp_path):
+        # All-zero weights give every point a unit kernel, so the planar BEV is
+        # the raw one doubled and keeps the raw SNR; the heuristic's does not.
+        path = tmp_path / "zero.json"
+        hidden = PROJECTOR_HIDDEN
+        zero = ProjectorWeights(
+            np.zeros((hidden, 2)), np.zeros(hidden), np.zeros((4, hidden)), np.zeros(4)
+        )
+        save_projector_weights(zero, path)
+
+        def planar_snrs(payload):
+            cfg = sweep_config_from_json_dict({**payload, "replicates": 1})
+            rows = [row for task_rows, _ in run_sweep(cfg) for row in task_rows]
+            return [(r.snr_before, r.snr_after) for r in rows if r.pipeline == "3dge_planar"]
+
+        learned = planar_snrs({"projector_weights": str(path)})
+        assert all(before == after for before, after in learned)
+        assert any(before != after for before, after in planar_snrs({}))
 
     def test_beam_levels_must_be_integral(self):
         with pytest.raises(ConfigError, match="integer"):
@@ -650,12 +691,52 @@ class TestCli:
         return main(argv), out_dir
 
     def test_bad_weights_path_is_exit_1_without_report(self, tmp_path, capsys):
-        payload = {"projector": "weights-file", "projector_weights": str(tmp_path / "no.json")}
+        payload = {"projector_weights": str(tmp_path / "no.json")}
         code, out_dir = self.run_config(tmp_path, payload, "--emit-heatmaps")
         assert code == 1
         assert "cannot load projector weights" in capsys.readouterr().err
         assert not (out_dir / "report.csv").exists()
         assert list((out_dir / "heatmaps").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '"w1"',
+            '{"w1": {}, "b1": [], "w2": [], "b2": []}',
+            '{"w1": [[1, 2]], "b1": [], "w2": [], "b2": [%s]}' % ("9" * 400),
+        ],
+        ids=["list", "string", "object-block", "huge-integer"],
+    )
+    def test_malformed_weights_are_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "weights.json"
+        path.write_text(text)
+        code, out_dir = self.run_config(tmp_path, {"projector_weights": str(path)})
+        assert code == 1
+        assert "config error: cannot load projector weights" in capsys.readouterr().err
+        assert not (out_dir / "report.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["heuristic", "weights-file"])
+    def test_projector_key_is_exit_1(self, tmp_path, capsys, mode):
+        # The weights path alone chooses the projector.
+        code, _ = self.run_config(tmp_path, {"projector": mode})
+        assert code == 1
+        assert "unknown config fields: ['projector']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--count", "0"], "manifest needs at least one scene"),
+            (["--clean-ratio", "1.5"], "clean_ratio must lie in [0, 1], got 1.5"),
+            (["--clean-ratio", "nan"], "clean_ratio must lie in [0, 1], got nan"),
+        ],
+        ids=["count", "ratio", "nan-ratio"],
+    )
+    def test_bad_manifest_bounds_are_exit_1(self, tmp_path, capsys, flags, error):
+        out = tmp_path / "manifest.csv"
+        assert main(["gen-manifest", "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_run_leaves_no_report_or_temp_file(
@@ -739,23 +820,32 @@ class TestCli:
         )
         assert code == 1
 
-    def test_missing_input_is_exit_2(self, tmp_path):
-        code = main(
-            [
-                "corrupt",
-                "--kind",
-                "c4",
-                "--level",
-                "1",
-                "--seed",
-                "0",
-                "--in",
-                str(tmp_path / "nope.csv"),
-                "--out",
-                str(tmp_path / "y.csv"),
-            ]
-        )
-        assert code == 2
+    def corrupt(self, in_path, out_path):
+        argv = ["corrupt", "--kind", "c4", "--level", "1", "--seed", "0"]
+        return main([*argv, "--in", str(in_path), "--out", str(out_path)])
+
+    def test_missing_input_is_exit_1(self, tmp_path, capsys):
+        # An unreadable --in file is bad user input, as an unreadable config is.
+        assert self.corrupt(tmp_path / "nope.csv", tmp_path / "y.csv") == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2,3,4,5,6\n",
+            "frame_id,x,y,z,rcs,v\na,0,0,0\n",
+            "frame_id,x,y,z,rcs,v\na,0,0,0,0,0\nb,0,0,0,0,0\n",
+            "frame_id,x,y,z,rcs,v\na,0,0,zero,0,0\n",
+        ],
+        ids=["header", "width", "frames", "number"],
+    )
+    def test_malformed_input_is_exit_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert self.corrupt(bad, tmp_path / "y.csv") == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
 
     def test_usage_error_is_exit_1(self):
         assert main(["run"]) == 1

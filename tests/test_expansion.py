@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcbench.expansion as expansion
 from rcbench.core import GridSpec, PointCloud, Rng, default_grid, derive64
 from rcbench.corruption import CorruptionKind, CorruptionSpec, apply_corruption
 from rcbench.expansion import (
@@ -221,6 +222,23 @@ class TestExpand:
         cloud = cloud_from_rows([[1, 1, 1, 1, 0]])
         with pytest.raises(ValueError):
             expand(cloud, small_grid(), kernel_params([], []), PLANAR_XY)
+
+    def test_expand_sums_only_its_deposit(self, monkeypatch):
+        # expand keeps one table, its mode's deposit, so it bins no raw table;
+        # voxelize's one table is the binned one.
+        tables = []
+
+        def counted(*args, **kwargs):
+            out = summed(*args, **kwargs)
+            tables.append(len(out[-1]))
+            return out
+
+        summed = expansion._summed
+        monkeypatch.setattr(expansion, "_summed", counted)
+        cloud = cloud_from_rows([[4.5, 4.5, 4.5, 2.0, 1.0], [1.5, 6.5, 2.5, 1.0, -1.0]])
+        expand(cloud, small_grid(), kernel_params([3, 5], 1.0), PLANAR_XY)
+        voxelize(cloud, small_grid())
+        assert tables == [1, 1]
 
 
 class TestMergeResidual:

@@ -7,11 +7,15 @@ sample coordinates sit away from integer-lattice kinks of the bilinear
 interpolation.
 """
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from rcbench.core import Rng
 from rcbench.fusion import (
+    _block_shapes,
     AffineParams,
     ConfidenceMap,
     ConfidenceMlpParams,
@@ -632,3 +636,42 @@ class TestValidation:
                 attn_weighted=base.attn_weighted,
                 out_conv=base.out_conv,
             )
+
+    def test_every_block_its_part_lets_through_is_checked_by_name(self):
+        # Double one axis of one block: where the part's own checks accept the
+        # new shape, FusionParams must reject it and name that block.
+        base = random_fusion_params(8, Rng(58), heads=2)
+        named = []
+        for name, shape in _block_shapes(8, 2, DEFAULT_POINTS):
+            part_name, field = name.split(".")
+            part = getattr(base, part_name)
+            for axis in range(len(shape)):
+                wrong = np.zeros([2 * n if k == axis else n for k, n in enumerate(shape)])
+                try:
+                    part_wrong = dataclasses.replace(part, **{field: wrong})
+                except ValueError:
+                    continue
+                with pytest.raises(ValueError, match=re.escape(f"block {name} has shape")):
+                    dataclasses.replace(base, **{part_name: part_wrong})
+                named.append(name)
+        assert named == [
+            "conf_mlp.w1",
+            "agg_w.w",
+            "attn_plain.out_w",
+            "attn_weighted.out_w",
+            "out_conv.kernel",
+        ]
+
+    @pytest.mark.parametrize(
+        "part, size, n",
+        [(f.name, "channels", 9) for f in dataclasses.fields(FusionParams)[1:]]
+        + [("attn_weighted", "heads", 4), ("attn_weighted", "points", 3)],
+    )
+    def test_a_part_of_other_sizes_is_named(self, part, size, n):
+        # C comes from ln_image and heads and points from attn_plain, so any
+        # other part built at other sizes fails at its first block.
+        base = random_fusion_params(8, Rng(59), heads=2)
+        other = random_fusion_params(**{"channels": 8, "heads": 2, size: n}, rng=Rng(60))
+        first = next(b for b, _ in _block_shapes(8, 2, DEFAULT_POINTS) if b.startswith(part + "."))
+        with pytest.raises(ValueError, match=re.escape(f"block {first} has shape")):
+            dataclasses.replace(base, **{part: getattr(other, part)})

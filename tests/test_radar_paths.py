@@ -350,7 +350,7 @@ class TestOneVoxelizationPerCloud:
         weights = learned_weights(37)
         path = tmp_path / "weights.json"
         save_projector_weights(weights, path)
-        cfg = multi_config(projector="weights-file", projector_weights=str(path), replicates=1)
+        cfg = multi_config(projector_weights=str(path), replicates=1)
         assert_sweep_matches_per_row(cfg, weights)
 
     def test_each_cloud_voxelized_once_and_chamfer_once_per_task(self, monkeypatch):

@@ -192,17 +192,13 @@ def sweep_entries(draw, total_beams):
 
 @st.composite
 def sweep_configs(draw):
-    projector = draw(st.sampled_from(("heuristic", "weights-file")))
     total_beams = draw(st.integers(1, 64))
     return SweepConfig(
         scene=draw(scene_configs()),
         grid=draw(grid_specs()),
         corruptions=draw(sweep_entries(total_beams)),
         pipelines=tuple(draw(st.lists(st.sampled_from(PIPELINES), min_size=1, unique=True))),
-        projector=projector,
-        projector_weights=draw(st.none() | st.text(min_size=1, max_size=12))
-        if projector == "heuristic"
-        else draw(st.text(min_size=1, max_size=12)),
+        projector_weights=draw(st.none() | st.text(min_size=1, max_size=12)),
         replicates=draw(st.integers(1, 50)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
         total_beams=total_beams,
@@ -217,7 +213,6 @@ RICH = SweepConfig(
         SweepEntry(CorruptionKind.KEY_POINT_MISSING, (3,), gamma=1),
     ),
     pipelines=PIPELINES,
-    projector="weights-file",
     projector_weights="weights/proj.json",
     master_seed=2**64 - 1,
 )
