@@ -28,6 +28,7 @@ from .core import (
     PointCloud,
     Rng,
     Scene,
+    bounded_runs,
     default_grid,
     derive64,
     float_bits,
@@ -66,16 +67,19 @@ from .imaging import pnm_bytes
 
 PIPELINES = ("raw", "3dge_planar", "3dge_isotropic")
 
-# Point-pair distances metric_chamfer holds at once, about.
-CHAMFER_BLOCK = 1 << 18
+# Point pairs, or (query, bucket) lookups, that metric_chamfer takes at once,
+# about: 8192 pairs hold 192 KiB of coordinate differences.
+CHAMFER_BLOCK = 1 << 13
 # Points per nearest-neighbour bucket that metric_chamfer aims for, and its
 # cap on buckets per axis. A cloud of fewer than twice that many points is
-# one bucket, and so is the default 80-point scene.
+# one bucket, and so is the default 80-point scene. Where the queries meet
+# more than twice that many points in their own buckets, the buckets shrink
+# by that load.
 CHAMFER_BUCKET_POINTS = 32
 CHAMFER_MAX_BUCKETS = 64
-# Relative slack on a ring's lower bound, on the bound itself and on the
-# largest coordinate. Bucket keys, bucket faces and distances each round by
-# a few ulps of those; this is far above that.
+# Relative slack on a lower bound (a ring's or a bucket's), on the bound itself
+# and on the largest coordinate. Bucket keys, bucket faces, bounds and
+# distances each round by a few ulps of those; this is far above that.
 CHAMFER_SLACK = 1e-12
 # Odd multipliers that fold the three float64 bit patterns of a row into one hash.
 _XYZ_HASH = np.array(
@@ -470,16 +474,14 @@ def _unmatched(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.flatnonzero((qu != pu[twin]).any(axis=1))
 
 
-def _bucket_cells(extent: list[float], n: int) -> list[int]:
-    """Buckets per axis for n points spanning ``extent``.
+def _bucket_cells(extent: list[float], buckets: float) -> list[int]:
+    """Buckets per axis for about ``buckets`` near-cubic buckets spanning ``extent``.
 
-    Buckets are near-cubic and hold about CHAMFER_BUCKET_POINTS points
-    each if the points were spread evenly. An axis too thin for one bucket
-    side is not split, and no axis gets more than CHAMFER_MAX_BUCKETS.
+    An axis too thin for one bucket side is not split, no axis gets more
+    than CHAMFER_MAX_BUCKETS, and fewer than two buckets make one.
     """
     cells = [1, 1, 1]
     top = max(extent)
-    buckets = n / CHAMFER_BUCKET_POINTS
     if not (math.isfinite(top) and top > 0 and buckets >= 2):
         return cells
     axes = sorted(range(3), key=lambda k: -extent[k])
@@ -492,84 +494,178 @@ def _bucket_cells(extent: list[float], n: int) -> list[int]:
     return cells
 
 
+def _distances(q: np.ndarray, who: np.ndarray, p: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from column ``who[i]`` of q to column ``pts[i]`` of p, for every i."""
+    diff = q.take(who, axis=1) - p.take(pts, axis=1)
+    return np.sqrt((diff * diff).sum(axis=0))
+
+
+def _norm(parts: np.ndarray, scale: float) -> np.ndarray:
+    """Euclidean norm over the first axis of ``parts``, taken on parts divided
+    by ``scale``, a power of two near the largest, so no square overflows."""
+    parts = parts / scale
+    return np.sqrt((parts * parts).sum(axis=0)) * scale
+
+
+def _shell(r: int, last: np.ndarray) -> np.ndarray:
+    """(3, k) bucket offsets at Chebyshev distance r, none past ``last`` on
+    any axis: the faces at -r and r of each axis that reaches r."""
+    if r == 0:
+        return np.zeros((3, 1), dtype=np.int64)
+    faces = [np.zeros((3, 0), dtype=np.int64)]
+    for a in np.flatnonzero(last[:, 0] >= r):
+        # Axes before a stop short of r, so no offset lies on two faces.
+        reach = np.minimum(last[:, 0], [r - 1 if b < a else r for b in range(3)])
+        spans = [np.arange(-k, k + 1) for k in reach]
+        spans[a] = np.array([-r, r])
+        faces.append(np.stack(np.meshgrid(*spans, indexing="ij")).reshape(3, -1))
+    return np.concatenate(faces, axis=1)
+
+
+class _Buckets:
+    """The columns of p sorted into a uniform grid of ``cells`` buckets over
+    p's box (low corner ``lo``): a dense table of each bucket's count and
+    first point, and one more, empty bucket that keys off the grid read."""
+
+    def __init__(self, p: np.ndarray, lo: np.ndarray, extent: np.ndarray, cells: np.ndarray):
+        self.cells, self.lo = [int(c) for c in cells], lo
+        self.split = np.flatnonzero(cells > 1)
+        self.size = np.zeros((3, 1))
+        self.size[self.split, 0] = extent[self.split] / cells[self.split]
+        self.last = (cells - 1)[:, None]
+        self.stride = np.array([cells[1] * cells[2], cells[2], 1])
+        flat = self.stride @ self.keys(p)
+        self.count = np.bincount(flat, minlength=cells.prod() + 1)
+        self.first = np.cumsum(self.count) - self.count
+        self.occupied = np.flatnonzero(self.count)
+        self.occupied_keys = np.stack(np.unravel_index(self.occupied, cells))
+        self.p = p.take(np.argsort(flat, kind="stable"), axis=1)
+
+    def keys(self, x: np.ndarray) -> np.ndarray:
+        """Bucket keys of the columns of x, clipped to the grid."""
+        k = np.zeros(x.shape, dtype=np.int64)
+        s = self.split
+        k[s] = np.clip(np.floor((x[s] - self.lo[s]) / self.size[s]), 0, self.last[s])
+        return k
+
+    def looked_up(self, near: np.ndarray, shell: np.ndarray):
+        """``(rows, buckets, offsets)``: each occupied bucket at an offset of
+        ``shell`` from a key column of ``near``, found in the table."""
+        nb = (self.stride @ near)[:, None] + (self.stride @ shell)
+        for k in self.split:
+            # A negative key reads as a huge unsigned one, so one compare bounds the axis.
+            nb[(near[k, :, None] + shell[k]).view(np.uint64) >= self.cells[k]] = -1
+        rows, cols = np.nonzero(self.count[nb])
+        return rows, nb[rows, cols], shell[:, cols]
+
+    def scanned(self, near: np.ndarray, ring: int):
+        """``looked_up`` for ring ``ring``'s shell, from a scan of the occupied buckets."""
+        ring_of = np.abs(near[:, :, None] - self.occupied_keys[:, None, :]).max(axis=0)
+        rows, cols = np.nonzero(ring_of == ring)
+        return rows, self.occupied[cols], self.occupied_keys[:, cols] - near[:, rows]
+
+
 def _search(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Distance from each column of q to its nearest column of p.
 
-    Both are (3, k) coordinate-major arrays. p is hashed into a uniform
-    grid of buckets, and each query visits Chebyshev rings of buckets
-    around its own, ring by ring for all pending queries at once. A query
-    is done when its best distance is 0.0, when its best is below the
-    distance to the ring's outer faces less a slack, or when its rings
-    cover every occupied bucket.
+    Both are (3, k) coordinate-major arrays. p goes into ``_Buckets``, and
+    each query visits Chebyshev rings of buckets around its own, ring by
+    ring for all pending queries at once. A ring's buckets come from its
+    shell of offsets, enumerated once and looked up in the table for every
+    pending query, or from a scan of the occupied buckets where that list is
+    the shorter. A bucket whose box is no nearer than the query's best so
+    far is skipped. A query is done when its best distance is 0.0, when its
+    best is below the distance to the ring's outer faces less a slack, or
+    when its rings cover every occupied bucket. Lookups and candidate point
+    pairs go in runs of about CHAMFER_BLOCK.
     """
     n = p.shape[1]
-    out = np.empty(q.shape[1])
-    step = max(1, CHAMFER_BLOCK // n)
     lo, hi = p.min(axis=1), p.max(axis=1)
     extent = hi - lo
-    cells = np.array(_bucket_cells(extent.tolist(), n))
-    split = np.flatnonzero(cells > 1)
-    if not split.size:
+    target = n / CHAMFER_BUCKET_POINTS
+    cells = np.array(_bucket_cells(extent.tolist(), target))
+    if (cells == 1).all():
         # One bucket: ring 0 holds all of p for every query.
+        out = np.empty(q.shape[1])
+        step = max(1, CHAMFER_BLOCK // n)
         for start in range(0, q.shape[1], step):
             diff = q[:, start : start + step, None] - p[:, None, :]
             out[start : start + step] = np.sqrt((diff * diff).sum(axis=0)).min(axis=1)
         return out
-    size = np.zeros((3, 1))
-    size[split, 0] = extent[split] / cells[split]
-    last = (cells - 1)[:, None]
     slack = CHAMFER_SLACK * max(np.abs(lo).max(), np.abs(hi).max())
     lo = lo[:, None]
-
-    def keys(x):
-        k = np.zeros(x.shape, dtype=np.int64)
-        k[split] = np.clip(np.floor((x[split] - lo[split]) / size[split]), 0, last[split])
-        return k
-
-    pk = keys(p)
-    flat = np.ravel_multi_index(tuple(pk), cells)
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat)
-    counts = counts[counts > 0]
-    starts = np.cumsum(counts) - counts
-    occupied = pk.take(order[starts], axis=1)
-    p = p.take(order, axis=1)
-    qk = keys(q)
+    grid = _Buckets(p, lo, extent, cells)
+    # Queries in dense clusters of p meet far more points in their own bucket
+    # than p's mean suggests; then the buckets shrink by that load.
+    load = grid.count[grid.stride @ grid.keys(q)].mean()
+    if load > 2 * CHAMFER_BUCKET_POINTS:
+        del grid
+        cells = np.array(_bucket_cells(extent.tolist(), target * load / CHAMFER_BUCKET_POINTS))
+        grid = _Buckets(p, lo, extent, cells)
+    size, last = grid.size, grid.last
+    qk = grid.keys(q)
     face = lo + qk * size
-    # Distances from each query to the low and high faces of its own bucket.
-    below, above = q - face, face + size - q
-    for start in range(0, q.shape[1], step):
-        block = slice(start, start + step)
-        kq, qb, lower, upper = qk[:, block], q[:, block], below[:, block], above[:, block]
-        ring_of = np.abs(kq[:, :, None] - occupied[:, None, :]).max(axis=0)
-        far = ring_of.max(axis=1)
-        best = np.full(kq.shape[1], np.inf)
-        pending = np.arange(kq.shape[1])
-        ring = 0
-        while pending.size:
-            rows, buckets = np.nonzero(ring_of[pending] == ring)
-            if rows.size:
-                # Expand each (query, bucket) pair to the bucket's points.
-                sizes = counts[buckets]
-                first = np.cumsum(sizes) - sizes
-                who = np.repeat(pending[rows], sizes)
-                pts = np.arange(who.size) + np.repeat(starts[buckets] - first, sizes)
-                diff = qb.take(who, axis=1) - p.take(pts, axis=1)
-                dist = np.sqrt((diff * diff).sum(axis=0))
-                new = np.flatnonzero(np.diff(rows, prepend=-1))
-                hit = pending[rows[new]]
-                best[hit] = np.minimum(best[hit], np.minimum.reduceat(dist, first[new]))
-            pending = pending[far[pending] > ring]
-            kp = kq.take(pending, axis=1)
+    # Per query and axis: the distance to the low face of its own bucket, how
+    # far it lies outside p's box (no point of p is nearer), and the distance to
+    # the high face. Entry 9 * query + 3 * axis + sign(offset) + 1 is the
+    # nearest face of a bucket at that offset, with no ring added.
+    faces = np.empty((q.shape[1], 3, 3))
+    faces[:, :, 0] = (q - face).T
+    faces[:, :, 1] = np.maximum(0.0, np.maximum(lo - q, q - hi[:, None])).T
+    faces[:, :, 2] = (face + size - q).T
+    faces = faces.ravel()
+    del face
+    scale = np.ldexp(1.0, np.frexp(max(np.abs(q).max(), np.abs(p).max()))[1] - 1)
+    # Rings past this one hold no occupied bucket, on any axis.
+    far = np.maximum(qk, last - qk).max(axis=0)
+    best = np.full(q.shape[1], np.inf)
+    pending = np.arange(q.shape[1])
+    ring = 0
+    while pending.size:
+        shell = _shell(ring, last)
+        step = max(1, CHAMFER_BLOCK // min(shell.shape[1], len(grid.occupied)))
+        stay = []
+        for a in range(0, pending.size, step):
+            block = pending[a : a + step]
+            near = qk.take(block, axis=1)
+            if shell.shape[1] <= len(grid.occupied):
+                rows, buckets, off = grid.looked_up(near, shell)
+            else:
+                rows, buckets, off = grid.scanned(near, ring)
+            if ring:
+                # Skip a bucket whose box is no nearer than the query's best so
+                # far, less the slack of the stop test; ring 0 has no best yet.
+                who = block[rows]
+                nearest = faces.take(9 * who + np.sign(off) + [[1], [4], [7]])
+                bound = _norm(nearest + np.maximum(np.abs(off) - 1, 0) * size, scale)
+                keep = np.flatnonzero(best[who] > bound * (1 - CHAMFER_SLACK) - slack)
+                rows, buckets = rows[keep], buckets[keep]
+            sizes = grid.count[buckets]
+            # Expand each (query, bucket) pair to the bucket's points, in bounded runs.
+            for c, d in bounded_runs(sizes, CHAMFER_BLOCK):
+                got, many = rows[c:d], sizes[c:d]
+                start = np.cumsum(many) - many
+                who = np.repeat(block[got], many)
+                pts = np.arange(who.size) + np.repeat(grid.first[buckets[c:d]] - start, many)
+                dist = _distances(q, who, grid.p, pts)
+                new = np.flatnonzero(np.diff(got, prepend=-1))
+                hit = block[got[new]]
+                best[hit] = np.minimum(best[hit], np.minimum.reduceat(dist, start[new]))
+            # The block's queries are done with this ring: the stop test.
+            block = block[far[block] > ring]
+            kb = qk.take(block, axis=1)
+            below, beyond, above = (faces.take(9 * block + [[k], [k + 3], [k + 6]]) for k in range(3))
             gap = np.minimum(
-                np.where(kp > ring, lower.take(pending, axis=1) + ring * size, np.inf),
-                np.where(kp + ring < last, upper.take(pending, axis=1) + ring * size, np.inf),
-            ).min(axis=0)
-            left = best[pending]
-            pending = pending[(left > 0) & (left > gap * (1 - CHAMFER_SLACK) - slack)]
-            ring += 1
-        out[block] = best
-    return out
+                np.where(kb > ring, below + ring * size, np.inf),
+                np.where(kb + ring < last, above + ring * size, np.inf),
+            )
+            # Past the ring on one axis, and no nearer than p's box on the other two.
+            gap = _norm(np.stack([gap, beyond[[1, 0, 0]], beyond[[2, 2, 1]]]), scale).min(axis=0)
+            left = best[block]
+            stay.append(block[(left > 0) & (left > gap * (1 - CHAMFER_SLACK) - slack)])
+        pending = np.concatenate(stay)
+        ring += 1
+    return best
 
 
 def _nearest(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -594,12 +690,14 @@ def metric_chamfer(a: PointCloud, b: PointCloud) -> float:
     does not match. Every other row goes to an exact bucketed
     nearest-neighbour search over the other cloud: a uniform grid of
     buckets, visited in Chebyshev rings until no unvisited bucket can hold
-    a nearer point. Each candidate distance is
-    ``np.sqrt((diff * diff).sum(...))`` over the three coordinates, as in
-    the scan, and is folded with ``np.minimum``, so every row minimum is
-    the scan's. Query rows are taken in blocks of
-    ``CHAMFER_BLOCK // len(other)``, so at most about CHAMFER_BLOCK point
-    pairs are held at once, however the points fall into buckets.
+    a nearer point, skipping any bucket that cannot. Each candidate
+    distance is ``np.sqrt((diff * diff).sum(...))`` over the three
+    coordinates, as in the scan, and is folded with ``np.minimum``, so every
+    row minimum is the scan's. The candidate pairs, and the bucket lookups
+    that find them, go in runs of about CHAMFER_BLOCK, so the working set is
+    a few per-row arrays and one run, however the points fall into buckets.
+    A cloud kept in one bucket is scanned in blocks of
+    ``CHAMFER_BLOCK // len(other)`` rows.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer distance requires non-empty clouds")

@@ -81,7 +81,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_scene(args) -> int:
-    scene = gen_scene(SceneConfig(), default_grid(), Rng(args.seed))
+    try:
+        rng = Rng(args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    scene = gen_scene(SceneConfig(), default_grid(), rng)
     out = Path(args.out)
     write_point_cloud_csv(scene.cloud, out)
     boxes_out = (

@@ -87,6 +87,18 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def bounded_runs(sizes: np.ndarray, limit: int):
+    """Yield ``(lo, hi)`` cuts of ``sizes`` into consecutive runs, in order,
+    each summing to at most ``limit``, or holding one item larger than that."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(ends):
+        cap = (ends[lo - 1] if lo else 0) + limit
+        hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+        yield lo, hi
+        lo = hi
+
+
 @dataclass(frozen=True)
 class Rng:
     """Counter-based random stream identified by (seed, stream).

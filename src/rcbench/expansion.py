@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, PointCloud, VoxelGrid, freeze_arrays, read_only, voxel_indices
+from .core import (
+    GridSpec,
+    PointCloud,
+    VoxelGrid,
+    bounded_runs,
+    freeze_arrays,
+    read_only,
+    voxel_indices,
+)
 
 # Admissible kernel side lengths, in voxels.
 LAMBDA_CHOICES = (1, 3, 5)
@@ -30,9 +38,9 @@ EXPONENT_MODES = (PLANAR_XY, ISOTROPIC_3D)
 PROJECTOR_HIDDEN = 8
 SIGMA_FLOOR = 0.1
 
-# In-range points per block of _entries: at most 125 (a 5^3 footprint)
-# times this many entries are held at once.
-DEPOSIT_BLOCK_POINTS = 4096
+# Kernel cells per block of _entries: a block holds whole kernels, at least
+# one, so at most max(this, 125) entries, each a few int64s, are held at once.
+DEPOSIT_BLOCK_ENTRIES = 1 << 13
 
 VOXEL_GRID_MAGIC = b"RCVG"
 VOXEL_GRID_VERSION = 1
@@ -199,9 +207,10 @@ def _kernel_groups(params, mask: np.ndarray, exponent_modes):
 
 
 def _entries(spec: GridSpec, cells: np.ndarray, groups, which: np.ndarray, rank: np.ndarray):
-    """Yield ``(flat cell, kernel cell, point)`` blocks of DEPOSIT_BLOCK_POINTS
-    points, for point i's kernel ``which[i]`` (numbered as ``_kernel_groups``
-    does) centered on ``cells[:, i]``. Grid cell (x, y, z) is flat cell
+    """Yield ``(flat cell, kernel cell, point)`` blocks of whole kernels, at
+    most DEPOSIT_BLOCK_ENTRIES kernel cells each unless one kernel is larger,
+    for point i's kernel ``which[i]`` (numbered as ``_kernel_groups`` does)
+    centered on ``cells[:, i]``. Grid cell (x, y, z) is flat cell
     ``rank[x * ny + y] * nz + z`` of a table of columns, and kernel cell c
     indexes every mode's weight table alike, so one block serves them all.
     Cells outside the grid are dropped, and entries come in point order, each
@@ -211,11 +220,11 @@ def _entries(spec: GridSpec, cells: np.ndarray, groups, which: np.ndarray, rank:
     sizes = np.concatenate([np.full(len(sigmas), side**3) for side, sigmas in groups])
     starts = np.cumsum(sizes) - sizes
     nx, ny, nz = spec.cells
-    for lo in range(0, len(which), DEPOSIT_BLOCK_POINTS):
-        picks = which[lo : lo + DEPOSIT_BLOCK_POINTS]
+    for lo, hi in bounded_runs(sizes[which], DEPOSIT_BLOCK_ENTRIES):
+        picks = which[lo:hi]
         n = sizes[picks]
         first = np.cumsum(n) - n
-        point = np.repeat(np.arange(lo, lo + len(n)), n)
+        point = np.repeat(np.arange(lo, hi), n)
         # Cell j of a point's kernel is column starts[kernel] + j of the table.
         row = np.arange(first[-1] + n[-1]) + np.repeat(starts[picks] - first, n)
         x, y, z = (c[point] + d[row] for c, d in zip(cells, offsets))
@@ -304,9 +313,12 @@ def residual_bevs(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> 
     _, _, cols, sums = _summed(cloud, spec, params, exponent_modes, False, cloud.rcs)
     nx, ny, nz = spec.cells
     raw, *expanded = (rcs.reshape(len(cols), nz) for (rcs,) in sums)
+    for e in expanded:
+        # In place, and the bits of raw + e: IEEE addition commutes.
+        e += raw
     bevs = np.zeros((len(sums), nx * ny))
-    for bev, merged in zip(bevs, [raw] + [raw + e for e in expanded]):
-        bev[cols] = np.abs(merged).sum(axis=1)
+    for bev, merged in zip(bevs, [raw, *expanded]):
+        bev[cols] = np.abs(merged, out=merged).sum(axis=1)
     return list(bevs.reshape(-1, nx, ny))
 
 

@@ -295,11 +295,3 @@ def load_image(path) -> ImagePlane:
     if arr.ndim == 2:
         arr = np.repeat(arr[:, :, None], 3, axis=2)
     return ImagePlane(arr)
-
-
-def save_image(img: ImagePlane, path) -> None:
-    write_pnm(path, img.data)
-
-
-def load_map(path, kind: str) -> DegradationMap:
-    return DegradationMap(read_pnm(path), kind=kind)

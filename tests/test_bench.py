@@ -850,6 +850,13 @@ class TestCli:
     def test_usage_error_is_exit_1(self):
         assert main(["run"]) == 1
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_gen_scene_seed_out_of_range_is_exit_1(self, tmp_path, capsys, seed):
+        out = tmp_path / "scene.csv"
+        assert main(["gen-scene", "--seed", seed, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: seed out of 64-bit range: {seed}\n"
+        assert not out.exists()
+
     def test_gen_manifest_cli(self, tmp_path):
         out = tmp_path / "manifest.csv"
         assert main(["gen-manifest", "--out", str(out), "--count", "10"]) == 0

@@ -56,6 +56,7 @@ from rcbench.expansion import (
     kernel_params_for_cloud,
     merge_residual,
     project_params,
+    residual_bevs,
     save_projector_weights,
     voxelize,
 )
@@ -148,12 +149,14 @@ class TestDepositOracle:
         assert np.array_equal(grid.count, count)
         assert grid.out_of_range == out
 
-    @pytest.mark.parametrize("block", [1, 3, 64])
+    # Entry bounds of 1 give one kernel per block; 3, 64 and 1000 give blocks of
+    # several unit kernels, of several side-3 kernels, and of every side mixed.
+    @pytest.mark.parametrize("block", [1, 3, 64, 1000])
     def test_block_size_does_not_change_the_sums(self, monkeypatch, block):
         cloud = border_cloud(34, n=150)
         params = mixed_params(35, len(cloud))
         whole = expand(cloud, small_grid(), params, EXPONENT_MODES[1])
-        monkeypatch.setattr(expansion, "DEPOSIT_BLOCK_POINTS", block)
+        monkeypatch.setattr(expansion, "DEPOSIT_BLOCK_ENTRIES", block)
         blocked = expand(cloud, small_grid(), params, EXPONENT_MODES[1])
         assert np.array_equal(whole.rcs, blocked.rcs)
         assert np.array_equal(whole.vel, blocked.vel)
@@ -467,14 +470,35 @@ class TestBevsFromEntries:
                 bev.any() for bev in got.values()
             )
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
+    # As above, with the heuristic's kernels of sides 5, 3 and 1.
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
     def test_block_size_does_not_change_the_bevs(self, monkeypatch, block):
         cloud = border_cloud(97, n=150)
         whole = bench._pipeline_bevs(cloud, small_grid(), PIPELINES, None)
-        monkeypatch.setattr(expansion, "DEPOSIT_BLOCK_POINTS", block)
+        monkeypatch.setattr(expansion, "DEPOSIT_BLOCK_ENTRIES", block)
         blocked = bench._pipeline_bevs(cloud, small_grid(), PIPELINES, None)
         for pipeline in PIPELINES:
             assert blocked[pipeline].tobytes() == whole[pipeline].tobytes()
+
+    def test_entry_blocks_are_bounded_by_entries(self, monkeypatch):
+        # 3000 side-5 kernels inside the grid make 375,000 entries, which must
+        # go in blocks of at most 16,384, whatever the point count.
+        gen = np.random.default_rng(99)
+        xyz = gen.uniform([-40.0, -40.0, -1.9], [40.0, 40.0, -0.1], size=(3000, 3))
+        cloud = PointCloud(data=np.column_stack([xyz, gen.uniform(-5, 20, (3000, 2))]))
+        params = kernel_params(np.full(len(cloud), 5), 1.0)
+        blocks = []
+        original = expansion._entries
+
+        def recorded(*args):
+            for block in original(*args):
+                blocks.append(len(block[0]))
+                yield block
+
+        monkeypatch.setattr(expansion, "_entries", recorded)
+        residual_bevs(cloud, default_grid(), params, EXPONENT_MODES)
+        assert sum(blocks) == 125 * len(cloud)
+        assert max(blocks) <= 16384
 
     def test_peak_memory_bounded_at_100k_points(self):
         cloud = uniform_cloud(98, 100_000)
