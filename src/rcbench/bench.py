@@ -815,6 +815,14 @@ def run_sweep(
 
 
 def _pooled(tasks, workers: int):
+    # Forked workers inherit the caller's modules. Import here, once, the two
+    # that numpy loads lazily on a task's first use, so that no worker of any
+    # sweep imports them again: numpy.random for core.Rng.generator, and
+    # numpy.ma for np.unique's np.ma.is_masked, which np.percentile in
+    # expansion.heuristic_kernel_params and expansion._kernel_groups reach.
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
+
     # Executor.map submits every task at once, so finished results could pile
     # up behind a slow one; a window of 2 x workers futures bounds them.
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,7 +4,11 @@ import functools
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +262,37 @@ def forked_pool(monkeypatch):
     monkeypatch.setattr(bench, "ProcessPoolExecutor", forked)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Every kind and pipeline, with heatmaps, on two forked workers. Prints the
+# caller's pid, then per task the worker's pid and the modules it imported.
+WORKER_IMPORTS_SCRIPT = """
+import json, multiprocessing, os, sys
+import rcbench.bench as bench
+from rcbench.corruption import CorruptionKind
+
+run_task = bench._run_task
+
+def recording_task(*task):
+    before = set(sys.modules)
+    run_task(*task)
+    return os.getpid(), sorted(set(sys.modules) - before)
+
+multiprocessing.set_start_method("fork")
+os.cpu_count = lambda: 2
+bench._run_task = recording_task
+levels = {CorruptionKind.BEAM_DROP: 10, CorruptionKind.KEY_POINT_MISSING: 5}
+cfg = bench.SweepConfig(
+    corruptions=tuple(
+        bench.SweepEntry(kind=kind, levels=(levels.get(kind, 3.0),)) for kind in CorruptionKind
+    ),
+    pipelines=bench.PIPELINES,
+    replicates=1,
+)
+print(json.dumps([os.getpid(), list(bench.run_sweep(cfg, jobs=2, want_heatmaps=True))]))
+"""
+
+
 class TestRunSweep:
     def test_row_count_one_per_combination(self):
         rows = sweep_rows(tiny_config())
@@ -343,6 +378,7 @@ class TestRunSweep:
             (2, 4, 2, 2),
             (3, 8, 16, 3),
             (4, 4, 1, None),
+            (0, 2, 2, None),
         ],
     )
     def test_jobs_clamped_to_tasks_and_cpus(
@@ -371,6 +407,26 @@ class TestRunSweep:
         rows = sweep_rows(tiny_config(replicates=replicates), jobs=jobs)
         assert started == ([] if want is None else [want])
         assert len(rows) == 2 * replicates
+
+    def test_pool_workers_import_nothing_while_running_tasks(self):
+        """Forked workers inherit every module a task needs from the caller.
+        pytest's process has long imported numpy.random, so a fresh
+        interpreter runs the sweep; fork carries its module-level wrapper of
+        _run_task, which reports what each task imported, to the workers."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        result = subprocess.run(
+            [sys.executable, "-c", WORKER_IMPORTS_SCRIPT],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        caller, tasks = json.loads(result.stdout)
+        assert len(tasks) == 5
+        assert all(pid != caller for pid, _ in tasks)
+        assert [imported for _, imported in tasks] == [[]] * 5
 
 
 class ReversePool:
@@ -737,6 +793,14 @@ class TestCli:
         assert main(["gen-manifest", "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_exit_1_without_report(self, tmp_path, capsys, jobs):
+        # run_sweep itself runs such a count serially; the CLI refuses it.
+        code, out_dir = self.run_config(tmp_path, {}, "--jobs", jobs)
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: --jobs must be at least 1, got {jobs}\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_run_leaves_no_report_or_temp_file(
