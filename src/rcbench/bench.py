@@ -42,6 +42,7 @@ from .corruption import (
     DEFAULT_BEAM_COUNT,
     DEFAULT_SPURIOUS_RATIO,
     SIGMA_KINDS,
+    SIGMA_RANGE,
     CorruptionKind,
     CorruptionSpec,
     SpuriousMode,
@@ -911,14 +912,13 @@ def gen_manifest(
     count: int,
     clean_ratio: float = MANIFEST_CLEAN_RATIO,
     master_seed: int = 0,
-    total_beams: int = DEFAULT_BEAM_COUNT,
 ) -> list[ManifestRow]:
     """Dataset manifest following the clean/noisy mix recipe.
 
     A ``1 - clean_ratio`` fraction of scenes gets a uniformly chosen
-    corruption kind at a random level: sigma ~ U[1, 50] for the
-    sigma-parameterized kinds, and for KeyPointMissing a uniform count of
-    points to remove in [1, total_beams / 2].
+    corruption kind at a random level: a sigma drawn uniformly from
+    SIGMA_RANGE for the sigma-parameterized kinds, and for KeyPointMissing a
+    uniform count of points to remove in [1, DEFAULT_BEAM_COUNT / 2].
     """
     if count < 1:
         raise ValueError("manifest needs at least one scene")
@@ -941,9 +941,9 @@ def gen_manifest(
             continue
         kind = kinds[int(gen.integers(0, len(kinds)))]
         if kind in SIGMA_KINDS:
-            level = float(gen.uniform(1.0, 50.0))
+            level = float(gen.uniform(*SIGMA_RANGE))
         else:
-            level = float(gen.integers(1, total_beams // 2 + 1))
+            level = float(gen.integers(1, DEFAULT_BEAM_COUNT // 2 + 1))
         rows.append(ManifestRow(scene_id, "noisy", kind.value, level, seed))
     return rows
 

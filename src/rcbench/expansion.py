@@ -10,7 +10,6 @@ isolated false positives are diluted.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +40,6 @@ SIGMA_FLOOR = 0.1
 # Kernel cells per block of _entries: a block holds whole kernels, at least
 # one, so at most max(this, 125) entries, each a few int64s, are held at once.
 DEPOSIT_BLOCK_ENTRIES = 1 << 13
-
-VOXEL_GRID_MAGIC = b"RCVG"
-VOXEL_GRID_VERSION = 1
 
 
 def _checked_sigma(sigma) -> np.ndarray:
@@ -338,49 +334,3 @@ def merge_residual(original: VoxelGrid, expanded: VoxelGrid) -> VoxelGrid:
 def bev_project(grid: VoxelGrid) -> np.ndarray:
     """Planar amplitude heatmap: sum of |rcs| over the vertical axis."""
     return np.abs(grid.rcs).sum(axis=2)
-
-
-def write_voxel_grid(grid: VoxelGrid, path) -> None:
-    """Flat binary export: RCVG header then rcs/vel/count in x-major order."""
-    nx, ny, nz = grid.spec.cells
-    bounds = (
-        grid.spec.x_range + grid.spec.y_range + grid.spec.z_range
-    )
-    header = struct.pack(
-        "<4sIIII6d", VOXEL_GRID_MAGIC, VOXEL_GRID_VERSION, nx, ny, nz, *bounds
-    )
-    if grid.count.max(initial=0) > np.iinfo(np.uint32).max:
-        raise ValueError("count field does not fit in uint32")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(grid.rcs, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(grid.vel, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(grid.count, dtype=np.uint32).tobytes())
-
-
-def read_voxel_grid(path) -> VoxelGrid:
-    header_size = struct.calcsize("<4sIIII6d")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < header_size:
-        raise ValueError(f"truncated voxel grid file: {path}")
-    magic, version, nx, ny, nz, *bounds = struct.unpack(
-        "<4sIIII6d", raw[:header_size]
-    )
-    if magic != VOXEL_GRID_MAGIC:
-        raise ValueError(f"bad voxel grid magic {magic!r}")
-    if version != VOXEL_GRID_VERSION:
-        raise ValueError(f"unsupported voxel grid version {version}")
-    spec = GridSpec(
-        x_range=(bounds[0], bounds[1]),
-        y_range=(bounds[2], bounds[3]),
-        z_range=(bounds[4], bounds[5]),
-        cells=(nx, ny, nz),
-    )
-    n = nx * ny * nz
-    if len(raw) != header_size + 20 * n:
-        raise ValueError(f"voxel grid payload size mismatch in {path}")
-    # Read-only views of the file's bytes, which VoxelGrid keeps as they are.
-    rcs, vel = np.frombuffer(raw, "<f8", 2 * n, header_size).reshape(2, nx, ny, nz)
-    count = np.frombuffer(raw, "<u4", n, header_size + 16 * n).reshape(nx, ny, nz)
-    return VoxelGrid(spec=spec, rcs=rcs, vel=vel, count=read_only(count.astype(np.int64)))

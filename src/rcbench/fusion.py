@@ -53,14 +53,6 @@ class FeatureMap:
     def channels(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass(frozen=True)
 class ConfidenceMap:
@@ -538,12 +530,16 @@ def confidence_map(f_image: FeatureMap, params: ConfidenceMlpParams) -> Confiden
     return ConfidenceMap(m)
 
 
+def _check_same_shape(a: FeatureMap, b: FeatureMap) -> None:
+    if a.data.shape != b.data.shape:
+        raise ValueError("feature maps must share a shape")
+
+
 def weight_features(
     f_image: FeatureMap, f_radar: FeatureMap, m: ConfidenceMap
 ) -> tuple[FeatureMap, FeatureMap]:
     """Scale the camera branch by confidence and radar by its complement."""
-    if f_image.data.shape != f_radar.data.shape:
-        raise ValueError("feature maps must share a shape")
+    _check_same_shape(f_image, f_radar)
     if m.data.shape != f_image.data.shape[1:]:
         raise ValueError("confidence map dims must match the features")
     (fic, fpc), _ = weight_features_jvp(
@@ -559,8 +555,7 @@ def aggregate(
 
     The result is the shared query of both attention branches.
     """
-    if f_image.data.shape != f_radar.data.shape:
-        raise ValueError("feature maps must share a shape")
+    _check_same_shape(f_image, f_radar)
     y, _ = aggregate_jvp(f_image.data, None, f_radar.data, None, params)
     return FeatureMap(y)
 
@@ -569,8 +564,7 @@ def concat_mm(
     f_image_conf: FeatureMap, f_radar_conf: FeatureMap, params: FusionParams
 ) -> FeatureMap:
     """Layer-normalize the two confidence-weighted maps and concatenate."""
-    if f_image_conf.data.shape != f_radar_conf.data.shape:
-        raise ValueError("feature maps must share a shape")
+    _check_same_shape(f_image_conf, f_radar_conf)
     y, _ = concat_mm_jvp(f_image_conf.data, None, f_radar_conf.data, None, params)
     return FeatureMap(y)
 
@@ -594,8 +588,7 @@ def fuse_bev(
 ) -> FeatureMap:
     """Full fusion: plain and confidence-weighted attention branches,
     summed and convolved into the fused BEV feature."""
-    if f_image.data.shape != f_radar.data.shape:
-        raise ValueError("feature maps must share a shape")
+    _check_same_shape(f_image, f_radar)
     if f_image.channels != params.channels:
         raise ValueError("feature channels must match the parameter set")
     y, _ = fuse_bev_jvp(f_image.data, None, f_radar.data, None, params)

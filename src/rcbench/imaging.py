@@ -49,14 +49,6 @@ class ImagePlane:
             raise ValueError("image samples must lie in [0, 1]")
         object.__setattr__(self, "data", read_only(arr))
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class DegradationMap:
@@ -76,14 +68,6 @@ class DegradationMap:
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("map samples must lie in [0, 1]")
         object.__setattr__(self, "data", read_only(arr))
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
 
 def _bound_plane(arr: np.ndarray) -> ImagePlane:
@@ -221,53 +205,6 @@ def same_timestamp_consistency(frames, spec: DegradationSpec) -> list[ImagePlane
     return _fill_frames(fill, frames)
 
 
-def _read_pnm_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
-    """Parse ``count`` ASCII integers after the magic, skipping comments."""
-    tokens: list[int] = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(raw):
-            raise ValueError("truncated PNM header")
-        c = raw[i : i + 1]
-        if c == b"#":
-            while i < len(raw) and raw[i : i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(raw) and not raw[j : j + 1].isspace():
-                j += 1
-            tokens.append(int(raw[i:j]))
-            i = j
-    # A single whitespace byte separates the header from the raster.
-    return tokens, i + 1
-
-
-def read_pnm(path) -> np.ndarray:
-    """Read a binary P5/P6 file into a float array in [0, 1].
-
-    Returns (h, w) for PGM and (h, w, 3) for PPM. Only 8-bit files with
-    max value 255 are accepted.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic = raw[:2]
-    if magic not in (b"P5", b"P6"):
-        raise ValueError(f"unsupported PNM magic {magic!r} in {path}")
-    channels = 1 if magic == b"P5" else 3
-    (width, height, maxval), offset = _read_pnm_tokens(raw[2:], 3)
-    offset += 2
-    if maxval != PNM_MAX_VALUE:
-        raise ValueError(f"PNM max value must be {PNM_MAX_VALUE}, got {maxval}")
-    expected = width * height * channels
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=offset)
-    if pixels.size != expected:
-        raise ValueError(f"truncated PNM raster in {path}")
-    shape = (height, width) if channels == 1 else (height, width, 3)
-    return pixels.reshape(shape).astype(np.float64) / PNM_MAX_VALUE
-
-
 def pnm_bytes(pixels: np.ndarray) -> bytes:
     """A uint8 raster as binary P5 (2-D) or P6 (3-D, 3ch) file bytes."""
     if pixels.ndim == 2:
@@ -278,20 +215,3 @@ def pnm_bytes(pixels: np.ndarray) -> bytes:
         raise ValueError(f"cannot encode array of shape {pixels.shape}")
     header = b"%s\n%d %d\n%d\n" % (magic, pixels.shape[1], pixels.shape[0], PNM_MAX_VALUE)
     return header + pixels.tobytes()
-
-
-def write_pnm(path, data: np.ndarray) -> None:
-    """Write a [0, 1] float array as binary P5 (2-D) or P6 (3-D, 3ch)."""
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("samples must lie in [0, 1]")
-    with open(path, "wb") as fh:
-        fh.write(pnm_bytes(np.rint(arr * PNM_MAX_VALUE).astype(np.uint8)))
-
-
-def load_image(path) -> ImagePlane:
-    """Load a PPM/PGM as a 3-channel image (gray replicates to RGB)."""
-    arr = read_pnm(path)
-    if arr.ndim == 2:
-        arr = np.repeat(arr[:, :, None], 3, axis=2)
-    return ImagePlane(arr)

@@ -1,6 +1,7 @@
 """Harness tests: scene generation, metrics, sweeps, CLI round trips."""
 
 import functools
+import hashlib
 import json
 import math
 import multiprocessing
@@ -532,13 +533,13 @@ class TestEmitHeatmap:
         assert path.read_bytes()[-9:] == bytes(9)
 
     def test_round_trip_reproduces_quantized_values(self, tmp_path):
-        from rcbench.imaging import read_pnm
-
         gen = np.random.default_rng(4)
         bev = gen.uniform(0, 9, size=(6, 7))
         path = tmp_path / "rt.pgm"
         emit_heatmap(bev, path)
-        back = read_pnm(path) * 255.0
+        raw = path.read_bytes()
+        assert raw.startswith(b"P5\n7 6\n255\n")
+        back = np.frombuffer(raw[-42:], np.uint8).reshape(6, 7)
         expected = np.floor((bev - bev.min()) * 255.0 / (bev.max() - bev.min()))
         np.testing.assert_allclose(back, expected, atol=1e-9)
 
@@ -927,3 +928,14 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "scene_id,group,kind,level,seed"
         assert len(lines) == 11
+
+    def test_gen_manifest_bytes_are_pinned(self, tmp_path):
+        """All four noisy kinds, sigma levels and KeyPointMissing counts alike."""
+        out = tmp_path / "manifest.csv"
+        assert main(["gen-manifest", "--out", str(out), "--count", "200", "--seed", "9"]) == 0
+        text = out.read_text()
+        for kind in ("SpuriousPoints", "NonPositionalDisturbance", "KeyPointMissing", "PointShifting"):
+            assert f",{kind}," in text
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3170bca4bdf0bfb9752b8c2b9d27b1e98e2622047f7adb517982e95fe6dec336"
+        )

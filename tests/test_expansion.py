@@ -24,10 +24,8 @@ from rcbench.expansion import (
     load_projector_weights,
     merge_residual,
     project_params,
-    read_voxel_grid,
     save_projector_weights,
     voxelize,
-    write_voxel_grid,
 )
 
 
@@ -368,33 +366,3 @@ class TestNoiseSuppression:
             )
             improved += after >= before
         assert improved == 100
-
-
-class TestVoxelGridIo:
-    def test_round_trip(self, tmp_path):
-        gen = np.random.default_rng(29)
-        data = np.column_stack(
-            [gen.uniform(0, 8, (120, 3)), gen.uniform(-5, 5, (120, 2))]
-        ).reshape(120, 5)
-        grid = voxelize(PointCloud(data=data), small_grid())
-        path = tmp_path / "grid.rcvg"
-        write_voxel_grid(grid, path)
-        back = read_voxel_grid(path)
-        assert back.spec == grid.spec
-        assert np.array_equal(back.rcs, grid.rcs)
-        assert np.array_equal(back.vel, grid.vel)
-        assert np.array_equal(back.count, grid.count)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.rcvg"
-        path.write_bytes(b"NOPE" + bytes(60))
-        with pytest.raises(ValueError):
-            read_voxel_grid(path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        grid = voxelize(PointCloud(data=np.empty((0, 5))), small_grid(2))
-        path = tmp_path / "trunc.rcvg"
-        write_voxel_grid(grid, path)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ValueError):
-            read_voxel_grid(path)

@@ -675,3 +675,20 @@ class TestValidation:
         first = next(b for b, _ in _block_shapes(8, 2, DEFAULT_POINTS) if b.startswith(part + "."))
         with pytest.raises(ValueError, match=re.escape(f"block {first} has shape")):
             dataclasses.replace(base, **{part: getattr(other, part)})
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda fi, fp, params: weight_features(fi, fp, ConfidenceMap(np.full((3, 3), 0.5))),
+            aggregate,
+            concat_mm,
+            fuse_bev,
+        ],
+        ids=["weight_features", "aggregate", "concat_mm", "fuse_bev"],
+    )
+    @pytest.mark.parametrize("radar_shape", [(4, 4, 3), (4, 3, 4), (2, 3, 3)])
+    def test_forward_ops_reject_maps_of_two_shapes(self, op, radar_shape):
+        # Everything else fits f_image, so only the shared shape check can fail.
+        params = random_fusion_params(4, Rng(61), heads=2)
+        with pytest.raises(ValueError, match="^feature maps must share a shape$"):
+            op(feature(4, 3, 3, seed=0), feature(*radar_shape, seed=1), params)

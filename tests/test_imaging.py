@@ -1,4 +1,4 @@
-"""Image degradation and PGM/PPM format tests."""
+"""Image degradation tests."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,8 @@ from rcbench.imaging import (
     ImagePlane,
     composite_weather,
     gamma_lowlight,
-    load_image,
-    read_pnm,
     same_timestamp_consistency,
     sample_degradation,
-    write_pnm,
 )
 
 
@@ -168,51 +165,6 @@ class TestSameTimestampConsistency:
         spec = DegradationSpec(kinds=("rain",), seed=0, maps=maps)
         assert spec.atmosphere_for("rain") == ATMOSPHERE_DEFAULTS["rain"]
         assert spec.atmosphere_for("fog") == 0.8
-
-
-class TestPnmIo:
-    def test_ppm_round_trip(self, tmp_path):
-        img = random_image(h=7, w=9, seed=12)
-        path = tmp_path / "img.ppm"
-        write_pnm(path, img.data)
-        back = read_pnm(path)
-        # Quantization to 8 bits, then exact round trip of the quantized values.
-        np.testing.assert_allclose(back, img.data, atol=0.5 / 255)
-        write_pnm(tmp_path / "again.ppm", back)
-        assert (tmp_path / "again.ppm").read_bytes() == path.read_bytes()
-
-    def test_pgm_round_trip(self, tmp_path):
-        gen = np.random.default_rng(13)
-        gray = gen.uniform(size=(5, 6))
-        path = tmp_path / "map.pgm"
-        write_pnm(path, gray)
-        back = read_pnm(path)
-        assert back.shape == (5, 6)
-        np.testing.assert_allclose(back, gray, atol=0.5 / 255)
-
-    def test_gray_image_loads_as_three_channels(self, tmp_path):
-        path = tmp_path / "gray.pgm"
-        write_pnm(path, np.full((3, 4), 0.5))
-        img = load_image(path)
-        assert img.data.shape == (3, 4, 3)
-
-    def test_max_value_must_be_255(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
-        with pytest.raises(ValueError, match="255"):
-            read_pnm(path)
-
-    def test_comments_in_header_are_skipped(self, tmp_path):
-        path = tmp_path / "c.pgm"
-        path.write_bytes(b"P5\n# comment line\n2 2\n255\n" + bytes([0, 64, 128, 255]))
-        arr = read_pnm(path)
-        np.testing.assert_allclose(arr.ravel(), [0, 64 / 255, 128 / 255, 1.0])
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.pnm"
-        path.write_bytes(b"P3\n2 2\n255\n")
-        with pytest.raises(ValueError):
-            read_pnm(path)
 
 
 class TestRangeInvariants:
