@@ -15,7 +15,7 @@ import os
 import time
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -64,7 +64,6 @@ from .expansion import (  # noqa: F401
     residual_bevs,
     voxelize,
 )
-from .imaging import pnm_bytes
 
 PIPELINES = ("raw", "3dge_planar", "3dge_isotropic")
 
@@ -795,6 +794,11 @@ def run_sweep(
     config-declaration order whatever the job count, with ``pgm_bytes``
     heatmaps if asked. A failing combination yields error-marked rows; a bad
     weights file raises ``ConfigError`` from this call, before any task runs.
+
+    With 2 or more workers, tasks run on a process pool that later pooled
+    sweeps in this process reuse while they ask for the same worker count.
+    Its workers fork on its first task, so a change to a module made after
+    that does not reach them.
     """
     weights = None
     if cfg.projector_weights is not None:
@@ -815,6 +819,33 @@ def run_sweep(
     return _pooled(tasks, workers)
 
 
+# The pool that every pooled sweep in this process shares, and its worker
+# count, so that a sweep after the first forks no workers. concurrent.futures
+# joins the workers when the interpreter exits.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+
+
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The shared pool of ``workers`` workers. One of another count, or a
+    broken one (a worker died), is shut down before its replacement forks,
+    so at most one pool's workers exist at a time."""
+    global _pool, _pool_workers
+    if _pool is not None and (_pool_workers != workers or _pool._broken):
+        _shutdown_pool()
+    if _pool is None:
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    return _pool
+
+
+def _shutdown_pool() -> None:
+    """Join the shared pool's workers, if there is a pool, and drop it."""
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
 def _pooled(tasks, workers: int):
     # Forked workers inherit the caller's modules. Import here, once, the two
     # that numpy loads lazily on a task's first use, so that no worker of any
@@ -824,15 +855,24 @@ def _pooled(tasks, workers: int):
     import numpy.ma  # noqa: F401
     import numpy.random  # noqa: F401
 
+    pool = _shared_pool(workers)
     # Executor.map submits every task at once, so finished results could pile
     # up behind a slow one; a window of 2 x workers futures bounds them.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        window = deque()
+    window = deque()
+    try:
         for task in tasks:
             window.append(pool.submit(_run_task, *task))
             if len(window) == 2 * workers:
                 yield window.popleft().result()
-        yield from (future.result() for future in window)
+        while window:
+            yield window.popleft().result()
+    finally:
+        # After an early close or a failed task, cancel the tasks not started
+        # and wait for the running ones, so that none runs on the shared
+        # workers behind the next sweep's.
+        for future in window:
+            future.cancel()
+        wait(window)
 
 
 def _format_cell(value) -> str:
@@ -891,7 +931,8 @@ def pgm_bytes(bev: np.ndarray) -> bytes:
         q = np.floor((a - vmin) * 255.0 / (vmax - vmin))
     else:
         q = np.zeros_like(a)
-    return pnm_bytes(np.clip(q, 0.0, 255.0).astype(np.uint8))
+    header = b"P5\n%d %d\n255\n" % (a.shape[1], a.shape[0])
+    return header + np.clip(q, 0.0, 255.0).astype(np.uint8).tobytes()
 
 
 def emit_heatmap(bev: np.ndarray, path) -> None:

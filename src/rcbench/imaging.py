@@ -30,8 +30,6 @@ WEATHER_KINDS = ("rain", "fog", "snow")
 WEATHER_LEVELS = {"rain": ("light", "heavy"), "fog": ("light", "heavy"), "snow": ("heavy",)}
 LOWLIGHT_LEVELS = ("mild", "heavy")
 
-PNM_MAX_VALUE = 255
-
 
 @dataclass(frozen=True)
 class ImagePlane:
@@ -204,14 +202,3 @@ def same_timestamp_consistency(frames, spec: DegradationSpec) -> list[ImagePlane
         fill = _weather_blend(spec.maps[kind], parameter, spec.atmosphere_for(kind), frames)
     return _fill_frames(fill, frames)
 
-
-def pnm_bytes(pixels: np.ndarray) -> bytes:
-    """A uint8 raster as binary P5 (2-D) or P6 (3-D, 3ch) file bytes."""
-    if pixels.ndim == 2:
-        magic = b"P5"
-    elif pixels.ndim == 3 and pixels.shape[2] == 3:
-        magic = b"P6"
-    else:
-        raise ValueError(f"cannot encode array of shape {pixels.shape}")
-    header = b"%s\n%d %d\n%d\n" % (magic, pixels.shape[1], pixels.shape[0], PNM_MAX_VALUE)
-    return header + pixels.tobytes()

@@ -6,9 +6,12 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +255,17 @@ def float_bytes(bev):
 
 
 @pytest.fixture
-def forked_pool(monkeypatch):
+def fresh_pool():
+    """Start and end the test with no shared sweep pool: its first pooled
+    sweep then builds the pool from whatever the test patched, and no
+    worker forked with the test's patches runs a later test's tasks."""
+    bench._shutdown_pool()
+    yield
+    bench._shutdown_pool()
+
+
+@pytest.fixture
+def forked_pool(monkeypatch, fresh_pool):
     """Make run_sweep's pool fork its workers, so they see this test's
     monkeypatches. Fork is not the default start method everywhere (Python
     3.14 starts Linux workers from a forkserver), and a spawned worker
@@ -383,7 +396,7 @@ class TestRunSweep:
         ],
     )
     def test_jobs_clamped_to_tasks_and_cpus(
-        self, monkeypatch, jobs, replicates, cpus, want
+        self, monkeypatch, fresh_pool, jobs, replicates, cpus, want
     ):
         """The pool never gets more workers than tasks or CPUs; one CPU runs serially."""
         started = []
@@ -392,11 +405,8 @@ class TestRunSweep:
             def __init__(self, max_workers):
                 started.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self):
+                pass
 
             def submit(self, fn, *args):
                 future = Future()
@@ -441,11 +451,8 @@ class ReversePool:
         self.outstanding = 0
         self.most_outstanding = 0
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self):
+        pass
 
     def submit(self, fn, *args):
         future = ReverseFuture(self, fn, args)
@@ -479,7 +486,7 @@ def fail_third_replicate(*args):
 
 
 class TestSweepStream:
-    def test_pool_yields_in_task_order_with_a_bounded_window(self, monkeypatch):
+    def test_pool_yields_in_task_order_with_a_bounded_window(self, monkeypatch, fresh_pool):
         pools = []
 
         def make_pool(max_workers):
@@ -517,6 +524,123 @@ class TestSweepStream:
         for jobs in (1, 2):
             with pytest.raises(ConfigError, match="cannot load projector weights"):
                 run_sweep(cfg, jobs=jobs)
+
+
+# The file logged_task appends to; set before the pool forks its workers.
+TASK_LOG = None
+
+
+def logged_task(*args):
+    """_run_task that logs "<master seed> <replicate>" to TASK_LOG when done.
+    Module-level, so a pool can pickle it. It first sleeps, so that a task
+    left running when its sweep closes still runs when the test reads the log."""
+    time.sleep(0.05)
+    result = RUN_TASK(*args)
+    with open(TASK_LOG, "a") as log:
+        log.write(f"{args[0].master_seed} {args[3]}\n")
+    return result
+
+
+def sweep_bytes(cfg, jobs, tmp_path):
+    """A sweep's report.csv bytes and its PGM heatmaps by name."""
+    maps = {}
+
+    def rows():
+        for task_rows, task_maps in run_sweep(cfg, jobs=jobs, want_heatmaps=True):
+            maps.update(task_maps)
+            yield from task_rows
+
+    report = tmp_path / f"report-{jobs}.csv"
+    write_report_csv(rows(), report)
+    return report.read_bytes(), maps
+
+
+def exited(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+# A pooled sweep on two workers that prints their pids and exits normally.
+POOLED_EXIT_SCRIPT = """
+import json, multiprocessing, os
+import rcbench.bench as bench
+from rcbench.corruption import CorruptionKind
+
+os.cpu_count = lambda: 2
+entry = bench.SweepEntry(kind=CorruptionKind.SPURIOUS_POINTS, levels=(5.0,))
+list(bench.run_sweep(bench.SweepConfig(corruptions=(entry,), replicates=2), jobs=2))
+print(json.dumps([p.pid for p in multiprocessing.active_children()]))
+"""
+
+
+class TestSharedPool:
+    """Pooled sweeps in one process share one pool of workers."""
+
+    def test_consecutive_sweeps_run_on_the_same_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        workers = []
+        for seed in (5, 6):
+            cfg = tiny_config(replicates=4, master_seed=seed)
+            assert sweep_bytes(cfg, 2, tmp_path) == sweep_bytes(cfg, 1, tmp_path)
+            workers.append(sorted(p.pid for p in multiprocessing.active_children()))
+        assert len(workers[0]) == 2 and os.getpid() not in workers[0]
+        assert workers[1] == workers[0]
+
+    def test_a_killed_worker_is_replaced(self, tmp_path, monkeypatch, fresh_pool):
+        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        cfg = tiny_config(replicates=4)
+        serial = sweep_bytes(cfg, 1, tmp_path)
+        assert sweep_bytes(cfg, 2, tmp_path) == serial
+        old = multiprocessing.active_children()
+        os.kill(old[0].pid, signal.SIGKILL)
+        # The pool marks itself broken before it stops its other worker, so
+        # once both have exited the next sweep must find it broken.
+        sentinels = [p.sentinel for p in old]
+        deadline = time.monotonic() + 60
+        while sentinels and time.monotonic() < deadline:
+            for ready in wait(sentinels, timeout=1):
+                sentinels.remove(ready)
+        assert sentinels == []
+        assert sweep_bytes(cfg, 2, tmp_path) == serial
+        new = {p.pid for p in multiprocessing.active_children()}
+        assert len(new) == 2 and not new & {p.pid for p in old}
+
+    def test_a_closed_sweep_leaves_no_task_behind(self, tmp_path, monkeypatch, forked_pool):
+        monkeypatch.setattr(sys.modules[__name__], "TASK_LOG", tmp_path / "tasks.log")
+        monkeypatch.setattr(bench, "_run_task", logged_task)
+        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        stream = run_sweep(tiny_config(replicates=9, master_seed=1), jobs=2)
+        next(stream)
+        stream.close()
+        closed = TASK_LOG.read_text().splitlines()
+        cfg = tiny_config(replicates=4, master_seed=2)
+        assert sweep_bytes(cfg, 2, tmp_path) == sweep_bytes(cfg, 1, tmp_path)
+        # The closed sweep's tasks all finished before close returned.
+        logged = TASK_LOG.read_text().splitlines()
+        assert logged[: len(closed)] == closed and "1 0" in closed
+        assert all(line.startswith("2 ") for line in logged[len(closed) :])
+
+    def test_no_worker_outlives_its_process(self, tmp_path):
+        out = tmp_path / "out.txt"
+        with open(out, "w") as stdout:
+            # Files, not pipes: a worker left running would hold a pipe open.
+            result = subprocess.run(
+                [sys.executable, "-c", POOLED_EXIT_SCRIPT],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                stdout=stdout,
+                stderr=subprocess.STDOUT,
+                timeout=120,
+            )
+        assert result.returncode == 0, out.read_text()
+        pids = json.loads(out.read_text())
+        assert len(pids) == 2
+        left = [pid for pid in pids if not exited(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
 
 
 class TestEmitHeatmap:
