@@ -16,6 +16,7 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -819,31 +820,46 @@ def run_sweep(
     return _pooled(tasks, workers)
 
 
-# The pool that every pooled sweep in this process shares, and its worker
-# count, so that a sweep after the first forks no workers. concurrent.futures
-# joins the workers when the interpreter exits.
+# The pool that pooled sweeps in this process share, and its worker count,
+# so that a sweep after the first forks no workers; and the number of live
+# sweeps on each pool, so that no pool is shut down under a sweep that still
+# runs on it. concurrent.futures joins every pool's workers when the
+# interpreter exits.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
+_pool_users: dict[ProcessPoolExecutor, int] = {}
 
 
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    """The shared pool of ``workers`` workers. One of another count, or a
-    broken one (a worker died), is shut down before its replacement forks,
-    so at most one pool's workers exist at a time."""
+def _acquire_pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
+    """The shared pool of ``workers`` workers, and whether it is new. A
+    shared pool of another count is retired first."""
     global _pool, _pool_workers
-    if _pool is not None and (_pool_workers != workers or _pool._broken):
-        _shutdown_pool()
-    if _pool is None:
+    if _pool is not None and _pool_workers != workers:
+        _retire_pool()
+    new = _pool is None
+    if new:
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
-    return _pool
+    _pool_users[_pool] = _pool_users.get(_pool, 0) + 1
+    return _pool, new
 
 
-def _shutdown_pool() -> None:
-    """Join the shared pool's workers, if there is a pool, and drop it."""
+def _release_pool(pool: ProcessPoolExecutor) -> None:
+    """End one sweep's use of ``pool``; the last sweep on a retired pool
+    shuts it down."""
+    _pool_users[pool] -= 1
+    if not _pool_users[pool]:
+        del _pool_users[pool]
+        if pool is not _pool:
+            pool.shutdown()
+
+
+def _retire_pool() -> None:
+    """Stop sharing the shared pool, if there is one. Its workers are joined
+    now, or by the last live sweep on it when that sweep ends."""
     global _pool
-    if _pool is not None:
+    if _pool is not None and _pool not in _pool_users:
         _pool.shutdown()
-        _pool = None
+    _pool = None
 
 
 def _pooled(tasks, workers: int):
@@ -855,17 +871,33 @@ def _pooled(tasks, workers: int):
     import numpy.ma  # noqa: F401
     import numpy.random  # noqa: F401
 
-    pool = _shared_pool(workers)
+    pool, new = _acquire_pool(workers)
+    # A worker of a reused pool can die between sweeps, and the pool may
+    # notice only after this sweep has submitted. Until it yields, such a
+    # sweep runs again, once, on a new pool.
+    retry = not new
     # Executor.map submits every task at once, so finished results could pile
     # up behind a slow one; a window of 2 x workers futures bounds them.
-    window = deque()
+    window, submitted = deque(), 0
     try:
-        for task in tasks:
-            window.append(pool.submit(_run_task, *task))
-            if len(window) == 2 * workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
+        while window or submitted < len(tasks):
+            try:
+                while submitted < len(tasks) and len(window) < 2 * workers:
+                    window.append(pool.submit(_run_task, *tasks[submitted]))
+                    submitted += 1
+                result = window.popleft().result()
+            except BrokenProcessPool:
+                if not retry:
+                    raise
+                if pool is _pool:
+                    _retire_pool()
+                broken, (pool, _) = pool, _acquire_pool(workers)
+                _release_pool(broken)
+                window.clear()
+                submitted, retry = 0, False
+                continue
+            retry = False
+            yield result
     finally:
         # After an early close or a failed task, cancel the tasks not started
         # and wait for the running ones, so that none runs on the shared
@@ -873,6 +905,7 @@ def _pooled(tasks, workers: int):
         for future in window:
             future.cancel()
         wait(window)
+        _release_pool(pool)
 
 
 def _format_cell(value) -> str:

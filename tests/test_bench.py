@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -252,16 +253,6 @@ def sweep_bevs(cfg):
 
 def float_bytes(bev):
     return np.asarray(bev, dtype=np.float64).tobytes()
-
-
-@pytest.fixture
-def fresh_pool():
-    """Start and end the test with no shared sweep pool: its first pooled
-    sweep then builds the pool from whatever the test patched, and no
-    worker forked with the test's patches runs a later test's tasks."""
-    bench._shutdown_pool()
-    yield
-    bench._shutdown_pool()
 
 
 @pytest.fixture
@@ -541,18 +532,24 @@ def logged_task(*args):
     return result
 
 
-def sweep_bytes(cfg, jobs, tmp_path):
-    """A sweep's report.csv bytes and its PGM heatmaps by name."""
+def stream_bytes(stream, path):
+    """The report.csv bytes of a run_sweep stream's rows, written to path,
+    and its PGM heatmaps by name."""
     maps = {}
 
     def rows():
-        for task_rows, task_maps in run_sweep(cfg, jobs=jobs, want_heatmaps=True):
+        for task_rows, task_maps in stream:
             maps.update(task_maps)
             yield from task_rows
 
-    report = tmp_path / f"report-{jobs}.csv"
-    write_report_csv(rows(), report)
-    return report.read_bytes(), maps
+    write_report_csv(rows(), path)
+    return path.read_bytes(), maps
+
+
+def sweep_bytes(cfg, jobs, tmp_path):
+    """A sweep's report.csv bytes and its PGM heatmaps by name."""
+    stream = run_sweep(cfg, jobs=jobs, want_heatmaps=True)
+    return stream_bytes(stream, tmp_path / f"report-{jobs}.csv")
 
 
 def exited(pid):
@@ -579,7 +576,7 @@ print(json.dumps([p.pid for p in multiprocessing.active_children()]))
 class TestSharedPool:
     """Pooled sweeps in one process share one pool of workers."""
 
-    def test_consecutive_sweeps_run_on_the_same_workers(self, tmp_path, monkeypatch):
+    def test_consecutive_sweeps_run_on_the_same_workers(self, tmp_path, monkeypatch, fresh_pool):
         monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
         workers = []
         for seed in (5, 6):
@@ -607,6 +604,40 @@ class TestSharedPool:
         assert sweep_bytes(cfg, 2, tmp_path) == serial
         new = {p.pid for p in multiprocessing.active_children()}
         assert len(new) == 2 and not new & {p.pid for p in old}
+
+    def test_a_worker_killed_just_before_a_sweep_is_replaced(
+        self, tmp_path, monkeypatch, fresh_pool
+    ):
+        """The next sweep starts before the pool can see the dead worker, so
+        it may submit to the broken pool and must then run again."""
+        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        cfg = tiny_config(replicates=4, master_seed=8)
+        serial = sweep_bytes(cfg, 1, tmp_path)
+        assert sweep_bytes(cfg, 2, tmp_path) == serial
+        old = {p.pid for p in multiprocessing.active_children()}
+        os.kill(min(old), signal.SIGKILL)
+        assert sweep_bytes(cfg, 2, tmp_path) == serial
+        new = {p.pid for p in multiprocessing.active_children()}
+        assert len(new) == 2 and not new & old
+
+    def test_interleaved_sweeps_of_two_worker_counts(self, tmp_path, monkeypatch, fresh_pool):
+        """A sweep that asks for another worker count does not shut down the
+        pool a suspended sweep still runs on; that sweep's end does."""
+        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 3)
+        two = tiny_config(replicates=8, master_seed=3)
+        three = tiny_config(replicates=6, master_seed=4)
+        streams = (
+            run_sweep(two, jobs=2, want_heatmaps=True),
+            run_sweep(three, jobs=3, want_heatmaps=True),
+        )
+        got = ([], [])
+        for pair in itertools.zip_longest(*streams):
+            for items, item in zip(got, pair):
+                if item is not None:
+                    items.append(item)
+        for name, cfg, items in zip(("two", "three"), (two, three), got):
+            assert stream_bytes(items, tmp_path / f"{name}.csv") == sweep_bytes(cfg, 1, tmp_path)
+        assert len(multiprocessing.active_children()) == 3
 
     def test_a_closed_sweep_leaves_no_task_behind(self, tmp_path, monkeypatch, forked_pool):
         monkeypatch.setattr(sys.modules[__name__], "TASK_LOG", tmp_path / "tasks.log")

@@ -114,7 +114,7 @@ def test_worker_exception_surfaces_with_its_text(monkeypatch):
         assert threading.active_count() == before
 
 
-def test_sweep_workers_fork_cleanly_after_camera_threads(tmp_path):
+def test_sweep_workers_fork_cleanly_after_camera_threads(tmp_path, fresh_pool):
     params = fusion.random_fusion_params(8, Rng(8), heads=2)
     fusion.fuse_bev_jvp(*feature_maps(8, 6, 6, seed=9), params)
     cfg = SweepConfig(
