@@ -5,18 +5,16 @@ normalization, a per-cell camera-confidence head, confidence weighting,
 deformable cross-attention with bilinear sampling, and a convolutional
 merge. Every operation also exposes an analytic Jacobian-vector product
 (forward-mode tangent), verified against finite differences in the test
-suite. There is no training here; parameters are loaded from files or
+suite. There is no training here; parameters are built from arrays or
 seeded randomly.
 """
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import get_type_hints
 
 import numpy as np
 
@@ -33,9 +31,6 @@ CONFIDENCE_CLAMP = 1e-15
 _VALUE_BLOCK = 2
 # Bilinear corners as (row, column) picks of (floor, floor + 1).
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-FUSION_PARAMS_MAGIC = b"CMCA"
-FUSION_PARAMS_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -194,7 +189,7 @@ class FusionParams:
 
     def __post_init__(self) -> None:
         # C comes from ln_image, heads and points from attn_plain; the parts
-        # check their own shapes, and the CMCA block table ties them together.
+        # check their own shapes, and the block table ties them together.
         for name, shape in _block_shapes(self.channels, self.heads, self.points):
             found = _block_value(self, name).shape
             if found != shape:
@@ -602,7 +597,7 @@ def conv_merge(f: FeatureMap, params: ConvParams) -> FeatureMap:
 
 
 # ---------------------------------------------------------------------------
-# Parameter construction and serialization.
+# Parameter construction.
 # ---------------------------------------------------------------------------
 
 
@@ -660,8 +655,8 @@ def random_fusion_params(
 
 
 def _block_shapes(c: int, heads: int, points: int) -> list[tuple[str, tuple[int, ...]]]:
-    """The CMCA block table: ``part.field`` names and shapes, in the field
-    order of ``FusionParams`` and of each part."""
+    """The block table: ``part.field`` names and shapes, in the field order
+    of ``FusionParams`` and of each part."""
     ln_blocks = []
     for name in ("ln_image", "ln_radar", "ln_weighted_image", "ln_weighted_radar"):
         ln_blocks += [(f"{name}.scale", (c,)), (f"{name}.shift", (c,))]
@@ -693,71 +688,3 @@ def _block_shapes(c: int, heads: int, points: int) -> list[tuple[str, tuple[int,
 def _block_value(params: FusionParams, name: str) -> np.ndarray:
     obj_name, attr = name.split(".")
     return getattr(getattr(params, obj_name), attr)
-
-
-def save_fusion_params(
-    params: FusionParams, path, height: int = 0, width: int = 0
-) -> None:
-    """Write the flat binary parameter file plus its text manifest.
-
-    ``height`` and ``width`` record the intended map size for consumers;
-    the parameters themselves are spatially agnostic.
-    """
-    c, heads, points = params.channels, params.heads, params.points
-    header = struct.pack(
-        "<4sIIIIII", FUSION_PARAMS_MAGIC, FUSION_PARAMS_VERSION,
-        c, height, width, heads, points,
-    )
-    manifest_lines = []
-    offset = len(header)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for name, shape in _block_shapes(c, heads, points):
-            arr = np.ascontiguousarray(_block_value(params, name), dtype=np.float64)
-            fh.write(arr.tobytes())
-            shape_txt = "x".join(str(s) for s in shape)
-            manifest_lines.append(f"{name} {shape_txt} {offset}")
-            offset += arr.nbytes
-    with open(str(path) + ".manifest", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(manifest_lines) + "\n")
-
-
-def load_fusion_params(path) -> tuple[FusionParams, dict]:
-    """Read a parameter file; returns the params and the header fields."""
-    header_size = struct.calcsize("<4sIIIIII")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < header_size:
-        raise ValueError(f"truncated fusion parameter file: {path}")
-    magic, version, c, height, width, heads, points = struct.unpack(
-        "<4sIIIIII", raw[:header_size]
-    )
-    if magic != FUSION_PARAMS_MAGIC:
-        raise ValueError(f"bad fusion parameter magic {magic!r}")
-    if version != FUSION_PARAMS_VERSION:
-        raise ValueError(f"unsupported fusion parameter version {version}")
-    parts: dict[str, dict[str, np.ndarray]] = {}
-    offset = header_size
-    for name, shape in _block_shapes(c, heads, points):
-        n = int(np.prod(shape))
-        if offset + 8 * n > len(raw):
-            raise ValueError(f"fusion parameter file truncated at block {name}")
-        part, field = name.split(".")
-        parts.setdefault(part, {})[field] = np.frombuffer(
-            raw, dtype="<f8", count=n, offset=offset
-        ).reshape(shape)
-        offset += 8 * n
-    if offset != len(raw):
-        raise ValueError("trailing bytes after final parameter block")
-    part_types = get_type_hints(FusionParams)
-    params = FusionParams(
-        **{part: part_types[part](**fields) for part, fields in parts.items()}
-    )
-    header = {
-        "channels": c,
-        "height": height,
-        "width": width,
-        "heads": heads,
-        "points": points,
-    }
-    return params, header

@@ -36,13 +36,10 @@ from rcbench.fusion import (
     fuse_bev_jvp,
     layer_norm,
     layer_norm_jvp,
-    load_fusion_params,
     random_fusion_params,
-    save_fusion_params,
     weight_features,
     weight_features_jvp,
     CONFIDENCE_HIDDEN,
-    DEFAULT_HEADS,
     DEFAULT_POINTS,
     LN_EPSILON,
 )
@@ -560,50 +557,6 @@ class TestFuseBev:
 
 
 class TestParamsIo:
-    def test_round_trip_is_exact(self, tmp_path):
-        params = random_fusion_params(8, Rng(51))
-        path = tmp_path / "fusion.cmca"
-        save_fusion_params(params, path, height=16, width=24)
-        loaded, header = load_fusion_params(path)
-        assert header == {
-            "channels": 8,
-            "height": 16,
-            "width": 24,
-            "heads": DEFAULT_HEADS,
-            "points": DEFAULT_POINTS,
-        }
-        assert np.array_equal(loaded.agg_w.w, params.agg_w.w)
-        assert np.array_equal(loaded.out_conv.kernel, params.out_conv.kernel)
-        assert np.array_equal(loaded.attn_weighted.offset_w, params.attn_weighted.offset_w)
-        fi = feature(8, 3, 3, seed=52)
-        fp = feature(8, 3, 3, seed=53)
-        np.testing.assert_array_equal(
-            fuse_bev(fi, fp, params).data, fuse_bev(fi, fp, loaded).data
-        )
-
-    def test_manifest_lists_blocks_with_offsets(self, tmp_path):
-        params = random_fusion_params(4, Rng(54))
-        path = tmp_path / "fusion.cmca"
-        save_fusion_params(params, path)
-        manifest = (tmp_path / "fusion.cmca.manifest").read_text().strip().splitlines()
-        names = [line.split()[0] for line in manifest]
-        assert names[0] == "ln_image.scale"
-        assert "conf_mlp.w1" in names
-        assert names[-1] == "out_conv.bias"
-        offsets = [int(line.split()[2]) for line in manifest]
-        assert offsets == sorted(offsets)
-        total = path.stat().st_size
-        last_shape = manifest[-1].split()[1]
-        assert offsets[-1] + 8 * int(last_shape.split("x")[0]) == total
-
-    def test_truncated_file_rejected(self, tmp_path):
-        params = random_fusion_params(4, Rng(55))
-        path = tmp_path / "fusion.cmca"
-        save_fusion_params(params, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            load_fusion_params(path)
-
     def test_random_params_are_seed_deterministic(self):
         a = random_fusion_params(4, Rng(56))
         b = random_fusion_params(4, Rng(56))

@@ -1,10 +1,10 @@
-"""Parameter-schema tests: the CMCA bytes are pinned, every block round-trips,
-the parameter classes copy rather than lock their inputs, and each ``*_jvp``
-called without a tangent is exactly its forward op.
+"""Parameter-schema tests: the parameter bytes are pinned, the block table
+lists every field in order, the parameter classes copy rather than lock their
+inputs, and each ``*_jvp`` called without a tangent is exactly its forward op.
 
-The digests were recorded with ``save_fusion_params(params, path)`` (height and
-width 0) before the loader was rebuilt from the dataclass fields; they pin the
-on-disk format, so a change to them is a format change.
+Each digest is the sha256 of every block's float64 bytes, concatenated in
+``_block_shapes`` order. A change to one is a change to ``random_fusion_params``
+or to the block table.
 """
 
 import dataclasses
@@ -16,6 +16,8 @@ import pytest
 from rcbench.core import Rng
 from rcbench.expansion import PROJECTOR_HIDDEN, ProjectorWeights
 from rcbench.fusion import (
+    _block_shapes,
+    _block_value,
     FeatureMap,
     FusionParams,
     aggregate,
@@ -32,9 +34,7 @@ from rcbench.fusion import (
     fuse_bev_jvp,
     layer_norm,
     layer_norm_jvp,
-    load_fusion_params,
     random_fusion_params,
-    save_fusion_params,
     weight_features,
     weight_features_jvp,
 )
@@ -42,19 +42,13 @@ from rcbench.fusion import (
 PINNED = {
     "c8": (
         lambda: random_fusion_params(8, Rng(51)),
-        "d81d7d848647b12eca17e835bf09ff2ab611b2e9db3c2faf72de92485ea26d84",
-        "c8eaa0cfed161ef15fd9d47319cd970d6fb5cdb35bb0192a45a787b8dd108b1f",
+        "d01569bb5a1cf769d8d51bf6a48e508e06e92c9b0d2a3d69569caa580eaeb998",
     ),
     "c64-heads8": (
         lambda: random_fusion_params(64, Rng(7), heads=8),
-        "0d3f298fc54d129f55f99c00a9164c436fc26428de00c5207d7d915c2de55290",
-        "3d7ff7d98532b5a714113a0246ba81672aa29497901f357a83122abe7ab08366",
+        "6a82a46e6c8d3db3c98367bb2d0ec4039c94f26f1178c7b5883df5a8f3220450",
     ),
 }
-
-
-def sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def schema_names(params: FusionParams) -> list[str]:
@@ -66,28 +60,22 @@ def schema_names(params: FusionParams) -> list[str]:
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_file_and_manifest_bytes_are_pinned(tmp_path, name):
-    make, file_digest, manifest_digest = PINNED[name]
-    path = tmp_path / "fusion.cmca"
-    save_fusion_params(make(), path)
-    assert sha256(path) == file_digest
-    assert sha256(tmp_path / "fusion.cmca.manifest") == manifest_digest
+def test_block_bytes_are_pinned(name):
+    make, digest = PINNED[name]
+    params = make()
+    h = hashlib.sha256()
+    for block, _ in _block_shapes(params.channels, params.heads, params.points):
+        value = _block_value(params, block)
+        assert value.dtype == "<f8", block
+        h.update(value.tobytes())
+    assert h.hexdigest() == digest
 
 
-def test_every_block_round_trips_in_field_order(tmp_path):
+def test_block_table_lists_every_field_in_field_order():
     params = random_fusion_params(8, Rng(51))
-    path = tmp_path / "fusion.cmca"
-    save_fusion_params(params, path)
-    loaded, _ = load_fusion_params(path)
-    manifest = (tmp_path / "fusion.cmca.manifest").read_text().splitlines()
     names = schema_names(params)
-    assert [line.split()[0] for line in manifest] == names
     assert len(names) == 28
-    for name in names:
-        part, field = name.split(".")
-        want = getattr(getattr(params, part), field)
-        got = getattr(getattr(loaded, part), field)
-        assert np.array_equal(got, want), name
+    assert [block for block, _ in _block_shapes(8, params.heads, params.points)] == names
 
 
 def parameter_cases():
