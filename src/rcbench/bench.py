@@ -8,6 +8,7 @@ suppression and peak preservation into CSV reports and PGM heatmaps.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import json
 import math
@@ -15,8 +16,6 @@ import os
 import time
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -820,49 +819,38 @@ def run_sweep(
     return _pooled(tasks, workers)
 
 
-# The pool that pooled sweeps in this process share, and its worker count,
-# so that a sweep after the first forks no workers; and the number of live
-# sweeps on each pool, so that no pool is shut down under a sweep that still
-# runs on it. concurrent.futures joins every pool's workers when the
-# interpreter exits.
-_pool: ProcessPoolExecutor | None = None
-_pool_workers = 0
-_pool_users: dict[ProcessPoolExecutor, int] = {}
+# The pool that pooled sweeps in this process share, as (worker count,
+# executor), so that a sweep after the first forks no workers. Each sweep
+# holds its executor until it ends, so a replaced executor lives as long as
+# some sweep still runs on it; concurrent.futures joins its workers once it
+# is collected, and every pool's workers when the interpreter exits.
+_pool = None
 
 
-def _acquire_pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
-    """The shared pool of ``workers`` workers, and whether it is new. A
-    shared pool of another count is retired first."""
-    global _pool, _pool_workers
-    if _pool is not None and _pool_workers != workers:
-        _retire_pool()
-    new = _pool is None
-    if new:
-        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
-    _pool_users[_pool] = _pool_users.get(_pool, 0) + 1
-    return _pool, new
-
-
-def _release_pool(pool: ProcessPoolExecutor) -> None:
-    """End one sweep's use of ``pool``; the last sweep on a retired pool
-    shuts it down."""
-    _pool_users[pool] -= 1
-    if not _pool_users[pool]:
-        del _pool_users[pool]
-        if pool is not _pool:
-            pool.shutdown()
-
-
-def _retire_pool() -> None:
-    """Stop sharing the shared pool, if there is one. Its workers are joined
-    now, or by the last live sweep on it when that sweep ends."""
+@atexit.register
+def _drop_pool() -> None:
+    # Collected later, at module teardown, the executor's weakref callback
+    # would find concurrent.futures.process already torn down.
     global _pool
-    if _pool is not None and _pool not in _pool_users:
-        _pool.shutdown()
     _pool = None
 
 
+def _shared_pool(workers: int, broken=None):
+    """The shared executor and True if it has ``workers`` workers and is not
+    ``broken``; otherwise a new one, now shared, and False."""
+    global _pool
+    if _pool is not None and _pool[0] == workers and _pool[1] is not broken:
+        return _pool[1], True
+    from concurrent.futures import ProcessPoolExecutor
+
+    _pool = workers, ProcessPoolExecutor(max_workers=workers)
+    return _pool[1], False
+
+
 def _pooled(tasks, workers: int):
+    from concurrent.futures import wait
+    from concurrent.futures.process import BrokenProcessPool
+
     # Forked workers inherit the caller's modules. Import here, once, the two
     # that numpy loads lazily on a task's first use, so that no worker of any
     # sweep imports them again: numpy.random for core.Rng.generator, and
@@ -871,32 +859,29 @@ def _pooled(tasks, workers: int):
     import numpy.ma  # noqa: F401
     import numpy.random  # noqa: F401
 
-    pool, new = _acquire_pool(workers)
-    # A worker of a reused pool can die between sweeps, and the pool may
-    # notice only after this sweep has submitted. Until it yields, such a
-    # sweep runs again, once, on a new pool.
-    retry = not new
+    # A worker of a reused pool can die (killed, out of memory) before or
+    # during this sweep, and the pool may notice only after the sweep has
+    # submitted, or yielded. Such a sweep runs its tasks not yet yielded
+    # again, once, on a new pool.
+    pool, retry = _shared_pool(workers)
     # Executor.map submits every task at once, so finished results could pile
-    # up behind a slow one; a window of 2 x workers futures bounds them.
-    window, submitted = deque(), 0
+    # up behind a slow one; a window of 2 x workers futures bounds them. It
+    # holds the futures of tasks[done : done + len(window)].
+    window, done = deque(), 0
     try:
-        while window or submitted < len(tasks):
+        while done < len(tasks):
             try:
-                while submitted < len(tasks) and len(window) < 2 * workers:
-                    window.append(pool.submit(_run_task, *tasks[submitted]))
-                    submitted += 1
+                while done + len(window) < len(tasks) and len(window) < 2 * workers:
+                    window.append(pool.submit(_run_task, *tasks[done + len(window)]))
                 result = window.popleft().result()
             except BrokenProcessPool:
                 if not retry:
                     raise
-                if pool is _pool:
-                    _retire_pool()
-                broken, (pool, _) = pool, _acquire_pool(workers)
-                _release_pool(broken)
+                pool, _ = _shared_pool(workers, pool)
                 window.clear()
-                submitted, retry = 0, False
+                retry = False
                 continue
-            retry = False
+            done += 1
             yield result
     finally:
         # After an early close or a failed task, cancel the tasks not started
@@ -905,7 +890,6 @@ def _pooled(tasks, workers: int):
         for future in window:
             future.cancel()
         wait(window)
-        _release_pool(pool)
 
 
 def _format_cell(value) -> str:

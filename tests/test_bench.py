@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
 from pathlib import Path
 
@@ -264,7 +265,7 @@ def forked_pool(monkeypatch, fresh_pool):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("needs the fork start method")
     forked = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", forked)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", forked)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -404,7 +405,7 @@ class TestRunSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr("rcbench.bench.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: cpus)
         rows = sweep_rows(tiny_config(replicates=replicates), jobs=jobs)
         assert started == ([] if want is None else [want])
@@ -484,7 +485,7 @@ class TestSweepStream:
             pools.append(ReversePool(max_workers))
             return pools[-1]
 
-        monkeypatch.setattr("rcbench.bench.ProcessPoolExecutor", make_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", make_pool)
         monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
         cfg = tiny_config(replicates=9)
         replicates = [rows[0].replicate for rows, _ in run_sweep(cfg, jobs=2)]
@@ -517,7 +518,7 @@ class TestSweepStream:
                 run_sweep(cfg, jobs=jobs)
 
 
-# The file logged_task appends to; set before the pool forks its workers.
+# The file the tasks below write to; set before the pool forks its workers.
 TASK_LOG = None
 
 
@@ -550,6 +551,36 @@ def sweep_bytes(cfg, jobs, tmp_path):
     """A sweep's report.csv bytes and its PGM heatmaps by name."""
     stream = run_sweep(cfg, jobs=jobs, want_heatmaps=True)
     return stream_bytes(stream, tmp_path / f"report-{jobs}.csv")
+
+
+def exit_on_third_replicate(*args):
+    """_run_task that logs its replicate to TASK_LOG, then ends its worker on
+    replicate 2. Module-level, so a pool can pickle it."""
+    with open(TASK_LOG, "a") as log:
+        log.write(f"{args[3]}\n")
+    if args[3] == 2:
+        os._exit(1)
+    return RUN_TASK(*args)
+
+
+def stall_once_on_replicate_3(*args):
+    """_run_task that, the first time any worker reaches replicate 3, writes
+    the worker's pid to TASK_LOG and sleeps. Module-level, so a pool can
+    pickle it."""
+    if args[3] == 3 and not TASK_LOG.exists():
+        TASK_LOG.write_text(str(os.getpid()))
+        time.sleep(60)
+    return RUN_TASK(*args)
+
+
+def still_running(processes, timeout=60):
+    """The sentinels of those processes that have not exited within timeout seconds."""
+    sentinels = [p.sentinel for p in processes]
+    deadline = time.monotonic() + timeout
+    while sentinels and time.monotonic() < deadline:
+        for ready in wait(sentinels, timeout=1):
+            sentinels.remove(ready)
+    return sentinels
 
 
 def exited(pid):
@@ -595,11 +626,7 @@ class TestSharedPool:
         os.kill(old[0].pid, signal.SIGKILL)
         # The pool marks itself broken before it stops its other worker, so
         # once both have exited the next sweep must find it broken.
-        sentinels = [p.sentinel for p in old]
-        deadline = time.monotonic() + 60
-        while sentinels and time.monotonic() < deadline:
-            for ready in wait(sentinels, timeout=1):
-                sentinels.remove(ready)
+        sentinels = still_running(old)
         assert sentinels == []
         assert sweep_bytes(cfg, 2, tmp_path) == serial
         new = {p.pid for p in multiprocessing.active_children()}
@@ -619,6 +646,39 @@ class TestSharedPool:
         assert sweep_bytes(cfg, 2, tmp_path) == serial
         new = {p.pid for p in multiprocessing.active_children()}
         assert len(new) == 2 and not new & old
+
+    def test_a_worker_killed_mid_sweep_is_replaced(self, tmp_path, monkeypatch, forked_pool):
+        """A reused pool that breaks after its sweep has yielded costs a rerun
+        of the tasks not yet yielded, on a new pool."""
+        cfg = tiny_config(replicates=9, master_seed=9)
+        serial = sweep_bytes(cfg, 1, tmp_path)
+        monkeypatch.setattr(sys.modules[__name__], "TASK_LOG", tmp_path / "stalled.pid")
+        monkeypatch.setattr(bench, "_run_task", stall_once_on_replicate_3)
+        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        list(run_sweep(tiny_config(replicates=2), jobs=2))
+        old = multiprocessing.active_children()
+        stream = run_sweep(cfg, jobs=2, want_heatmaps=True)
+        first = next(stream)
+        # Kill the worker inside a task: one killed while it sends a result
+        # can leave concurrent.futures waiting for the rest of it.
+        deadline = time.monotonic() + 60
+        while not (TASK_LOG.exists() and TASK_LOG.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(int(TASK_LOG.read_text()), signal.SIGKILL)
+        assert still_running(old) == []
+        assert stream_bytes(itertools.chain([first], stream), tmp_path / "killed.csv") == serial
+
+    @pytest.mark.parametrize("reused", [False, True])
+    def test_a_pool_that_keeps_breaking_raises(self, tmp_path, monkeypatch, forked_pool, reused):
+        """A new pool that breaks raises at once; a reused one reruns once, then raises."""
+        monkeypatch.setattr(sys.modules[__name__], "TASK_LOG", tmp_path / "tasks.log")
+        monkeypatch.setattr(bench, "_run_task", exit_on_third_replicate)
+        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        if reused:
+            list(run_sweep(tiny_config(replicates=2), jobs=2))
+        with pytest.raises(BrokenProcessPool):
+            list(run_sweep(tiny_config(replicates=4), jobs=2))
+        assert TASK_LOG.read_text().split().count("2") == 1 + reused
 
     def test_interleaved_sweeps_of_two_worker_counts(self, tmp_path, monkeypatch, fresh_pool):
         """A sweep that asks for another worker count does not shut down the

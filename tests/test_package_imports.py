@@ -11,10 +11,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def loaded_after(statement: str) -> set[str]:
+def loaded_after(statement: str, prefixes=("rcbench.",)) -> set[str]:
     code = (
         f"import json, sys\n{statement}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('rcbench.'))))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
@@ -31,3 +31,21 @@ def test_cli_import_leaves_the_camera_half_unloaded():
     loaded = loaded_after("import rcbench.cli")
     assert "rcbench.cli" in loaded
     assert not loaded & {"rcbench.fusion", "rcbench.imaging"}, loaded
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    assert loaded_after("import rcbench.cli", POOL_MODULES) == set()
+
+
+def test_serial_run_leaves_the_process_pool_unloaded(tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(
+        json.dumps({"corruptions": [{"kind": "SpuriousPoints", "levels": [5]}], "replicates": 2})
+    )
+    argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--jobs", "1"]
+    statement = f"from rcbench.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_after(statement, POOL_MODULES) == set()
+    assert (tmp_path / "out" / "report.csv").exists()
