@@ -793,13 +793,16 @@ def run_sweep(
     Yields each (kind, level, replicate) task's ``(rows, heatmaps)``, in
     config-declaration order whatever the job count, with ``pgm_bytes``
     heatmaps if asked. A failing combination yields error-marked rows; a bad
-    weights file raises ``ConfigError`` from this call, before any task runs.
+    weights file, or a scene with no cluster box to score, raises
+    ``ConfigError`` from this call, before any task runs.
 
     With 2 or more workers, tasks run on a process pool that later pooled
     sweeps in this process reuse while they ask for the same worker count.
     Its workers fork on its first task, so a change to a module made after
     that does not reach them.
     """
+    if cfg.scene.cluster_count == 0:
+        raise ConfigError("scene.cluster_count must be at least 1: rows score the cluster boxes")
     weights = None
     if cfg.projector_weights is not None:
         try:
@@ -850,14 +853,6 @@ def _shared_pool(workers: int, broken=None):
 def _pooled(tasks, workers: int):
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
-
-    # Forked workers inherit the caller's modules. Import here, once, the two
-    # that numpy loads lazily on a task's first use, so that no worker of any
-    # sweep imports them again: numpy.random for core.Rng.generator, and
-    # numpy.ma for np.unique's np.ma.is_masked, which np.percentile in
-    # expansion.heuristic_kernel_params and expansion._kernel_groups reach.
-    import numpy.ma  # noqa: F401
-    import numpy.random  # noqa: F401
 
     # A worker of a reused pool can die (killed, out of memory) before or
     # during this sweep, and the pool may notice only after the sweep has

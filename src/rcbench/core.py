@@ -104,8 +104,7 @@ class Rng:
     """Counter-based random stream identified by (seed, stream).
 
     Two instances built from the same pair replay bit-identical draw
-    sequences on any platform, and distinct streams are independent, so
-    every scene/corruption can own a private substream.
+    sequences on any platform, and distinct streams are independent.
     """
 
     seed: int
@@ -121,10 +120,6 @@ class Rng:
         """Fresh generator positioned at the start of this stream."""
         key = (self.stream << 64) | self.seed
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, index: int) -> "Rng":
-        """Independent child stream, stable in (stream, index)."""
-        return Rng(self.seed, derive64(self.stream, index))
 
 
 @dataclass(frozen=True)
@@ -334,21 +329,6 @@ def write_csv(path, header, records) -> None:
         writer.writerows(records)
 
 
-def read_csv_records(path, header, what: str) -> list[list[str]]:
-    """The non-blank records of a CSV file that starts with ``header``, each
-    checked to be as wide; ``what`` names the format in errors."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None or tuple(found) != header:
-            raise ValueError(f"bad {what} CSV header in {path}: {found}")
-        records = [record for record in reader if record]
-    for record in records:
-        if len(record) != len(header):
-            raise ValueError(f"bad {what} CSV row: {record}")
-    return records
-
-
 def write_point_cloud_csv(cloud: PointCloud, path) -> None:
     """Write the mandatory-header `frame_id,x,y,z,rcs,v` format."""
     rows = ([cloud.frame_id] + [_format_float(v) for v in row] for row in cloud.data)
@@ -356,10 +336,18 @@ def write_point_cloud_csv(cloud: PointCloud, path) -> None:
 
 
 def read_point_cloud_csv(path) -> PointCloud:
-    """Read a single-frame point cloud; row order is preserved."""
-    records = read_csv_records(path, POINT_CLOUD_CSV_HEADER, "point-cloud")
+    """Read a single-frame point cloud; row order is preserved and blank
+    rows are skipped."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None or tuple(found) != POINT_CLOUD_CSV_HEADER:
+            raise ValueError(f"bad point-cloud CSV header in {path}: {found}")
+        records = [record for record in reader if record]
     frame_id = records[0][0] if records else "0"
     for record in records:
+        if len(record) != len(POINT_CLOUD_CSV_HEADER):
+            raise ValueError(f"bad point-cloud CSV row: {record}")
         if record[0] != frame_id:
             raise ValueError(f"multiple frame ids in {path}: {frame_id!r} vs {record[0]!r}")
     rows = [[float(v) for v in record[1:]] for record in records]
@@ -370,11 +358,3 @@ def write_boxes_csv(boxes, path, frame_id: str = "0") -> None:
     """Write the `frame_id,cx,cy,cz,l,w,h,yaw` annotation format."""
     rows = ([frame_id] + [_format_float(v) for v in (*b.center, *b.size, b.yaw)] for b in boxes)
     write_csv(path, BOX_CSV_HEADER, rows)
-
-
-def read_boxes_csv(path) -> tuple[BoxAnnotation, ...]:
-    boxes = []
-    for record in read_csv_records(path, BOX_CSV_HEADER, "box"):
-        cx, cy, cz, length, width, height, yaw = (float(v) for v in record[1:])
-        boxes.append(BoxAnnotation(center=(cx, cy, cz), size=(length, width, height), yaw=yaw))
-    return tuple(boxes)

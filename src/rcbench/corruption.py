@@ -9,14 +9,14 @@ inputs and the supplied random stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import GridSpec, PointCloud, Rng, is_int, is_real, points_in_any_box_mask
 
-# Severity sampler bounds for sigma-parameterized corruptions.
+# The range gen_manifest draws a sigma kind's level from.
 SIGMA_RANGE = (1.0, 50.0)
 # Azimuth sectors used to emulate radar beams; points carry no beam index,
 # so beams are synthesized as equal sectors around the sensor origin.
@@ -75,11 +75,6 @@ def check_count(
             raise ValueError(
                 f"k={count} outside [1, {'n // 2' if cap is None else cap}] for gamma={gamma}"
             )
-
-
-def sample_sigma(rng: Rng) -> float:
-    """Draw a corruption severity uniformly from [1, 50]."""
-    return float(rng.generator().uniform(*SIGMA_RANGE))
 
 
 def _sample_without_replacement(
@@ -221,7 +216,7 @@ class CorruptionSpec:
     """Declarative corruption configuration.
 
     Only the fields relevant to ``kind`` are interpreted; the rest keep
-    their defaults and are ignored.
+    their defaults and are ignored. A SIGMA_KINDS kind needs a sigma.
     """
 
     kind: CorruptionKind
@@ -245,32 +240,8 @@ class CorruptionSpec:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not is_int(self.drop_count) or self.drop_count < 0:
             raise ValueError(f"drop_count must be a non-negative integer, got {self.drop_count}")
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind.value, "seed": self.seed}
-        if self.kind is CorruptionKind.KEY_POINT_MISSING:
-            out["gamma"] = self.gamma
-            out["drop_count"] = self.drop_count
-        elif self.kind is CorruptionKind.SPURIOUS_POINTS:
-            out["mode"] = self.mode.value
-            out["spurious_ratio"] = self.spurious_ratio
-            if self.sigma is not None:
-                out["sigma"] = self.sigma
-        elif self.kind is CorruptionKind.BEAM_DROP:
-            out["drop_count"] = self.drop_count
-        else:
-            if self.sigma is not None:
-                out["sigma"] = self.sigma
-        return out
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CorruptionSpec":
-        unknown = set(payload) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown CorruptionSpec fields: {sorted(unknown)}")
-        if "kind" not in payload:
-            raise ValueError("CorruptionSpec requires a 'kind' field")
-        return cls(**payload)
+        if self.sigma is None and self.kind in SIGMA_KINDS:
+            raise ValueError(f"{self.kind.value} needs a sigma")
 
 
 def spec_for_level(
@@ -305,27 +276,18 @@ def apply_corruption(
     bounds: GridSpec | None = None,
     total_beams: int = DEFAULT_BEAM_COUNT,
 ) -> PointCloud:
-    """Run the corruption described by ``spec`` on a cloud.
-
-    A sigma-parameterized spec without an explicit sigma draws one from
-    the U[1, 50] severity sampler on a dedicated substream.
-    """
+    """Run the corruption described by ``spec`` on a cloud."""
     rng = Rng(spec.seed, stream=0)
-    sigma = spec.sigma
-    if sigma is None and spec.kind in SIGMA_KINDS:
-        sigma = sample_sigma(rng.substream(1))
     if spec.kind is CorruptionKind.KEY_POINT_MISSING:
         return key_point_missing(cloud, boxes, spec.gamma, spec.drop_count, rng)
     if spec.kind is CorruptionKind.SPURIOUS_POINTS:
         if bounds is None:
             raise ValueError("spurious_points requires grid bounds")
-        return spurious_points(
-            cloud, spec.mode, spec.spurious_ratio, sigma, bounds, rng
-        )
+        return spurious_points(cloud, spec.mode, spec.spurious_ratio, spec.sigma, bounds, rng)
     if spec.kind is CorruptionKind.POINT_SHIFTING:
-        return point_shift(cloud, sigma, rng)
+        return point_shift(cloud, spec.sigma, rng)
     if spec.kind is CorruptionKind.NON_POSITIONAL_DISTURBANCE:
-        return non_positional_disturbance(cloud, sigma, rng)
+        return non_positional_disturbance(cloud, spec.sigma, rng)
     if spec.kind is CorruptionKind.BEAM_DROP:
         return beam_drop(cloud, total_beams, spec.drop_count, rng)
     raise ValueError(f"unhandled corruption kind: {spec.kind}")

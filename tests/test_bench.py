@@ -270,35 +270,6 @@ def forked_pool(monkeypatch, fresh_pool):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Every kind and pipeline, with heatmaps, on two forked workers. Prints the
-# caller's pid, then per task the worker's pid and the modules it imported.
-WORKER_IMPORTS_SCRIPT = """
-import json, multiprocessing, os, sys
-import rcbench.bench as bench
-from rcbench.corruption import CorruptionKind
-
-run_task = bench._run_task
-
-def recording_task(*task):
-    before = set(sys.modules)
-    run_task(*task)
-    return os.getpid(), sorted(set(sys.modules) - before)
-
-multiprocessing.set_start_method("fork")
-os.cpu_count = lambda: 2
-bench._run_task = recording_task
-levels = {CorruptionKind.BEAM_DROP: 10, CorruptionKind.KEY_POINT_MISSING: 5}
-cfg = bench.SweepConfig(
-    corruptions=tuple(
-        bench.SweepEntry(kind=kind, levels=(levels.get(kind, 3.0),)) for kind in CorruptionKind
-    ),
-    pipelines=bench.PIPELINES,
-    replicates=1,
-)
-print(json.dumps([os.getpid(), list(bench.run_sweep(cfg, jobs=2, want_heatmaps=True))]))
-"""
-
-
 class TestRunSweep:
     def test_row_count_one_per_combination(self):
         rows = sweep_rows(tiny_config())
@@ -410,26 +381,6 @@ class TestRunSweep:
         rows = sweep_rows(tiny_config(replicates=replicates), jobs=jobs)
         assert started == ([] if want is None else [want])
         assert len(rows) == 2 * replicates
-
-    def test_pool_workers_import_nothing_while_running_tasks(self):
-        """Forked workers inherit every module a task needs from the caller.
-        pytest's process has long imported numpy.random, so a fresh
-        interpreter runs the sweep; fork carries its module-level wrapper of
-        _run_task, which reports what each task imported, to the workers."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("needs the fork start method")
-        result = subprocess.run(
-            [sys.executable, "-c", WORKER_IMPORTS_SCRIPT],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        caller, tasks = json.loads(result.stdout)
-        assert len(tasks) == 5
-        assert all(pid != caller for pid, _ in tasks)
-        assert [imported for _, imported in tasks] == [[]] * 5
 
 
 class ReversePool:

@@ -16,7 +16,6 @@ from rcbench.core import (
     default_grid,
     derive64,
     points_in_box_mask,
-    read_boxes_csv,
     read_only,
     read_point_cloud_csv,
     voxel_indices,
@@ -128,10 +127,6 @@ class TestRng:
         b = Rng(seed=12345, stream=1).generator().uniform(size=100)
         assert not np.array_equal(a, b)
 
-    def test_substreams_are_stable(self):
-        assert Rng(1, 2).substream(3) == Rng(1, 2).substream(3)
-        assert Rng(1, 2).substream(3) != Rng(1, 2).substream(4)
-
     def test_derive64_is_order_sensitive(self):
         assert derive64(1, 2) != derive64(2, 1)
         assert derive64(1, 2) == derive64(1, 2)
@@ -227,11 +222,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_point_cloud_csv(path)
 
-    def test_boxes_round_trip(self, tmp_path):
+    def test_boxes_csv_text_is_pinned(self, tmp_path):
+        # Box files are written only; repr keeps every float's exact value.
         boxes = (
-            BoxAnnotation(center=(1.0, -2.0, 0.5), size=(4.0, 2.0, 1.5), yaw=0.3),
-            BoxAnnotation(center=(8.0, 8.0, 0.0), size=(2.0, 2.0, 2.0), yaw=-1.2),
+            BoxAnnotation(center=(1.0, -2.0, 0.5), size=(4.0, 2.0, 1.5), yaw=0.1 + 0.2),
+            BoxAnnotation(center=(8, 8, 0), size=(2.0, 2.0, 2.0), yaw=-1.2),
         )
         path = tmp_path / "boxes.csv"
         write_boxes_csv(boxes, path, frame_id="f")
-        assert read_boxes_csv(path) == boxes
+        assert path.read_bytes() == (
+            b"frame_id,cx,cy,cz,l,w,h,yaw\n"
+            b"f,1.0,-2.0,0.5,4.0,2.0,1.5,0.30000000000000004\n"
+            b"f,8.0,8.0,0.0,2.0,2.0,2.0,-1.2\n"
+        )

@@ -40,12 +40,26 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert loaded_after("import rcbench.cli", POOL_MODULES) == set()
 
 
-def test_serial_run_leaves_the_process_pool_unloaded(tmp_path):
+def run_statement(tmp_path, jobs: int) -> str:
     config = tmp_path / "sweep.json"
     config.write_text(
         json.dumps({"corruptions": [{"kind": "SpuriousPoints", "levels": [5]}], "replicates": 2})
     )
-    argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--jobs", "1"]
-    statement = f"from rcbench.cli import main\nassert main({argv!r}) == 0"
-    assert loaded_after(statement, POOL_MODULES) == set()
+    argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--jobs", str(jobs)]
+    return f"from rcbench.cli import main\nassert main({argv!r}) == 0"
+
+
+def test_serial_run_leaves_the_process_pool_unloaded(tmp_path):
+    assert loaded_after(run_statement(tmp_path, 1), POOL_MODULES) == set()
+    assert (tmp_path / "out" / "report.csv").exists()
+
+
+def test_pooled_run_leaves_numpy_random_and_ma_to_the_workers(tmp_path):
+    # Two CPUs, so that two tasks really run on a pool of two workers.
+    statement = "import os\nos.cpu_count = lambda: 2\n" + run_statement(tmp_path, 2)
+    task_modules = {"numpy.random", "numpy.ma"}
+    loaded = loaded_after(statement, (*task_modules, "concurrent.futures.process"))
+    assert "concurrent.futures.process" in loaded
+    # Exact names: the run also loads numpy.matrixlib, which "numpy.ma" prefixes.
+    assert not loaded & task_modules, loaded
     assert (tmp_path / "out" / "report.csv").exists()

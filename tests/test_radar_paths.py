@@ -337,11 +337,11 @@ class TestOneVoxelizationPerCloud:
             assert len(walls) == 1
 
     def test_error_rows_equal_per_row_errors(self):
+        # Half of an 80-point scene is 40 points, so 41 and 500 fail in the
+        # corruption; dropping all 32 beams leaves no cloud for the Chamfer.
         cfg = multi_config(
-            scene=SceneConfig(cluster_count=0),
             corruptions=(
-                SweepEntry(kind=CorruptionKind.SPURIOUS_POINTS, levels=(5.0,)),
-                SweepEntry(kind=CorruptionKind.KEY_POINT_MISSING, levels=(1.0, 500.0)),
+                SweepEntry(kind=CorruptionKind.KEY_POINT_MISSING, levels=(41.0, 500.0)),
                 SweepEntry(kind=CorruptionKind.BEAM_DROP, levels=(32,)),
             ),
         )

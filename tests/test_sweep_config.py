@@ -3,7 +3,6 @@
 import json
 import math
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -25,7 +24,6 @@ from rcbench.corruption import (
     SIGMA_KINDS,
     TARGETED_REMOVAL_CAP,
     CorruptionKind,
-    CorruptionSpec,
     SpuriousMode,
 )
 
@@ -237,10 +235,3 @@ def test_readme_sweep_config_is_the_default():
     assert payload["grid"].keys() == full["grid"].keys()
     assert set().union(*payload["corruptions"]) == set(full["corruptions"][0])
 
-
-def test_corruption_spec_keys_are_its_fields():
-    spec = CorruptionSpec(kind=CorruptionKind.BEAM_DROP, seed=3, drop_count=4)
-    payload = {f.name: getattr(spec, f.name) for f in fields(CorruptionSpec)}
-    assert CorruptionSpec.from_json_dict(payload) == spec
-    with pytest.raises(ValueError, match="unknown"):
-        CorruptionSpec.from_json_dict({"kind": "BeamDrop", "beams": 3})

@@ -1,6 +1,6 @@
 """What a sweep rejects before any pipeline runs: counts out of range
 whatever the scene, which the config itself rejects, and scenes with no
-boxes to score.
+boxes to score, which the sweep rejects.
 """
 
 import json
@@ -12,7 +12,6 @@ import rcbench.expansion as expansion
 from rcbench.bench import ConfigError, SceneConfig, SweepConfig, SweepEntry
 from rcbench.cli import main
 from rcbench.corruption import TARGETED_REMOVAL_CAP, CorruptionKind
-from test_bench import sweep_rows
 
 
 def run_config(tmp_path, capsys, config):
@@ -99,7 +98,18 @@ def test_no_box_scene_fails_before_any_pipeline(monkeypatch):
         pipelines=bench.PIPELINES,
         replicates=3,
     )
-    rows = sweep_rows(cfg)
+    # A scene with no cluster has no box to score, whatever the seed.
+    with pytest.raises(ConfigError, match="cluster_count must be at least 1"):
+        bench.run_sweep(cfg)
     assert calls["voxel_indices"] == 0
-    assert len(rows) == 9
-    assert {row.error for row in rows} == {"ValueError: metric_snr requires at least one box"}
+
+
+def test_no_box_scene_is_config_error(tmp_path, capsys):
+    config = {
+        "scene": {"cluster_count": 0},
+        "corruptions": [{"kind": "PointShifting", "levels": [1]}],
+    }
+    code, err, report = run_config(tmp_path, capsys, config)
+    assert code == 1
+    assert "config error" in err and "cluster_count must be at least 1" in err
+    assert not report.exists()
