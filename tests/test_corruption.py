@@ -258,20 +258,21 @@ class TestDeterminism:
 
 class TestCorruptionSpecJson:
     @pytest.mark.parametrize(
-        "text",
+        "text, field",
         [
-            '{"kind": "BeamDrop", "drop_count": 2.5}',
-            '{"kind": "KeyPointMissing", "drop_count": 1.5}',
-            '{"kind": "KeyPointMissing", "drop_count": 1, "gamma": true}',
-            '{"kind": "PointShifting", "sigma": 1e309}',
-            '{"kind": "PointShifting", "seed": -1}',
-            '{"kind": "PointShifting", "seed": 18446744073709551616}',
-            '{"kind": "SpuriousPoints", "spurious_ratio": true}',
+            ('{"kind": "BeamDrop", "drop_count": 2.5}', "drop_count"),
+            ('{"kind": "KeyPointMissing", "drop_count": 1.5}', "drop_count"),
+            ('{"kind": "KeyPointMissing", "drop_count": 1, "gamma": true}', "gamma"),
+            ('{"kind": "PointShifting", "sigma": 1e309}', "sigma"),
+            ('{"kind": "PointShifting", "sigma": 1.0, "seed": -1}', "seed"),
+            ('{"kind": "PointShifting", "sigma": 1.0, "seed": 18446744073709551616}', "seed"),
+            ('{"kind": "SpuriousPoints", "sigma": 1.0, "spurious_ratio": true}', "spurious_ratio"),
         ],
     )
-    def test_bad_values_rejected_when_built(self, text):
+    def test_bad_values_rejected_when_built(self, text, field):
         # Each of these used to build and then fail, or run wrong, at apply time.
-        with pytest.raises(ValueError):
+        # Every other field is valid, so the error must name the bad one.
+        with pytest.raises(ValueError, match=f"^{field} must"):
             CorruptionSpec(**json.loads(text))
 
     def test_sigma_kind_without_sigma_rejected_when_built(self):
