@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import os
-import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
@@ -317,6 +316,12 @@ def load_sweep_config(path) -> SweepConfig:
     return sweep_config_from_json_dict(payload)
 
 
+def _cluster_box(cfg: SceneConfig, center) -> BoxAnnotation:
+    """A cluster's box: twice its radius across, ``box_height_m`` tall."""
+    side = 2.0 * cfg.cluster_radius_m
+    return BoxAnnotation(center=center, size=(side, side, cfg.box_height_m), yaw=0.0)
+
+
 def gen_scene(cfg: SceneConfig, grid: GridSpec, rng: Rng) -> Scene:
     """Deterministic synthetic scene: annotated clusters plus clutter.
 
@@ -349,17 +354,7 @@ def gen_scene(cfg: SceneConfig, grid: GridSpec, rng: Rng) -> Scene:
             ]
         )
         rows.append(cluster)
-        boxes.append(
-            BoxAnnotation(
-                center=(cx, cy, cz),
-                size=(
-                    2.0 * cfg.cluster_radius_m,
-                    2.0 * cfg.cluster_radius_m,
-                    cfg.box_height_m,
-                ),
-                yaw=0.0,
-            )
-        )
+        boxes.append(_cluster_box(cfg, (cx, cy, cz)))
     m = cfg.noise_points
     if m:
         rows.append(
@@ -717,7 +712,6 @@ class BenchRow:
     chamfer_m: float | None = None
     points_in: int | None = None
     points_out: int | None = None
-    wall_ms: float | None = None
     error: str | None = None
 
 
@@ -739,7 +733,6 @@ def _run_task(
         corrupted = apply_corruption(
             scene.cloud, spec, boxes=scene.boxes, bounds=cfg.grid, total_beams=cfg.total_beams
         )
-        start = time.perf_counter()
         # metric_snr's box checks depend only on the boxes and the grid, so a
         # scene they reject fails before any pipeline runs.
         _planar_box_mask(cfg.grid.cells[:2], scene.boxes, cfg.grid)
@@ -753,7 +746,6 @@ def _run_task(
         clean = _pipeline_bevs(scene.cloud, cfg.grid, cfg.pipelines, weights)
         peaks = {p: metric_peak(clean[p], processed[p]) for p in cfg.pipelines}
         chamfer = metric_chamfer(scene.cloud, corrupted)
-        wall_ms = (time.perf_counter() - start) * 1000.0
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
 
@@ -775,7 +767,6 @@ def _run_task(
                 chamfer_m=chamfer,
                 points_in=len(scene.cloud),
                 points_out=len(corrupted),
-                wall_ms=wall_ms,
             )
         )
         if want_heatmaps:
@@ -793,8 +784,9 @@ def run_sweep(
     Yields each (kind, level, replicate) task's ``(rows, heatmaps)``, in
     config-declaration order whatever the job count, with ``pgm_bytes``
     heatmaps if asked. A failing combination yields error-marked rows; a bad
-    weights file, or a scene with no cluster box to score, raises
-    ``ConfigError`` from this call, before any task runs.
+    weights file, a scene with no cluster box to score, or given cluster
+    centers whose boxes hold no grid cell center, raises ``ConfigError``
+    from this call, before any task runs.
 
     With 2 or more workers, tasks run on a process pool that later pooled
     sweeps in this process reuse while they ask for the same worker count.
@@ -803,6 +795,13 @@ def run_sweep(
     """
     if cfg.scene.cluster_count == 0:
         raise ConfigError("scene.cluster_count must be at least 1: rows score the cluster boxes")
+    if cfg.scene.cluster_centers is not None:
+        # Given centers fix the boxes; random ones are checked row by row.
+        boxes = tuple(_cluster_box(cfg.scene, c) for c in cfg.scene.cluster_centers)
+        try:
+            _planar_box_mask(cfg.grid.cells[:2], boxes, cfg.grid)
+        except ValueError as exc:
+            raise ConfigError(f"scene.cluster_centers: {exc}") from exc
     weights = None
     if cfg.projector_weights is not None:
         try:
@@ -897,29 +896,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_report_csv(rows, path, include_timing: bool = False) -> None:
+def write_report_csv(rows, path) -> None:
     """Serialize rows, any iterable of them, in the order given.
 
-    Timing is omitted by default so repeated runs of the same config
-    produce byte-identical reports. With include_timing=True, ``wall_ms``
-    is the wall time of the row's task, the pipelines and metrics of one
-    (kind, level, replicate) after its scene is corrupted; rows share it.
+    The ``wall_ms`` column is always blank, so repeated runs of the same
+    config produce byte-identical reports; it stays so the header does not
+    change.
 
     Rows go to ``<path>.tmp``, renamed over ``path`` after the last one, so
     ``path`` never holds a partial report; on failure the temporary is removed.
     """
 
     def record(row):
-        cells = [row.kind, repr(float(row.level)), str(row.replicate), row.pipeline]
-        # The metric columns, in the header's order.
-        cells.extend(_format_cell(getattr(row, name)) for name in REPORT_COLUMNS[4:-1])
-        if not include_timing:
-            cells.append("")
-        elif row.wall_ms is None:
-            cells.append("ERROR")
-        else:
-            cells.append(f"{row.wall_ms:.3f}")
-        return cells
+        metrics = [_format_cell(getattr(row, name)) for name in REPORT_COLUMNS[4:-1]]
+        # The metric columns in the header's order, then the blank wall_ms.
+        return [row.kind, repr(float(row.level)), str(row.replicate), row.pipeline, *metrics, ""]
 
     tmp = Path(f"{path}.tmp")
     try:

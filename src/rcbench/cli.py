@@ -71,7 +71,7 @@ def _cmd_run(args) -> int:
             rows_by_error.update(row.error for row in task_rows)
             yield from task_rows
 
-    write_report_csv(rows(), report, include_timing=args.timing)
+    write_report_csv(rows(), report)
     elapsed = time.perf_counter() - started
     good = rows_by_error.pop(None, 0)
     errors = sum(rows_by_error.values())
@@ -148,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1, help="parallel workers")
     run.add_argument(
         "--emit-heatmaps", action="store_true", help="write per-row BEV PGM heatmaps"
-    )
-    run.add_argument(
-        "--timing",
-        action="store_true",
-        help="record measured wall_ms in the report (breaks byte-determinism)",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -84,18 +84,6 @@ class ProjectorWeights:
             raise ValueError("second projector layer must map 8 -> 4")
 
 
-def save_projector_weights(weights: ProjectorWeights, path) -> None:
-    payload = {
-        "w1": weights.w1.tolist(),
-        "b1": weights.b1.tolist(),
-        "w2": weights.w2.tolist(),
-        "b2": weights.b2.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 def load_projector_weights(path) -> ProjectorWeights:
     """Read a weights file; any malformed payload raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -232,24 +220,21 @@ def _entries(spec: GridSpec, cells: np.ndarray, groups, which: np.ndarray, rank:
         yield block
 
 
-def _summed(
-    cloud: PointCloud, spec: GridSpec, params, exponent_modes, dense: bool, *values, binned=True
-):
+def _summed(cloud: PointCloud, spec: GridSpec, params, exponent_modes, *values):
     """``(mask, cells, cols, tables)``: each of ``values`` (one per point)
     summed into ``(len(cols), nz)`` tables of the grid's (x, y) columns
-    ``cols``, every one if ``dense``, else those the kernels can reach. If
-    ``binned``, the first table bins each point's value at its own cell, as a
-    unit kernel's ``1.0 * v`` did bit for bit; one per mode follows, adding
-    ``w[kernel cell] * v[point]`` from one ``_entries`` pass. ``np.add.at``
-    adds in point order, so every cell sums in point order whatever the
-    block size or table."""
+    ``cols`` that the kernels can reach. The first table bins each point's
+    value at its own cell, as a unit kernel's ``1.0 * v`` did bit for bit;
+    one per mode follows, adding ``w[kernel cell] * v[point]`` from one
+    ``_entries`` pass. ``np.add.at`` adds in point order, so every cell sums
+    in point order whatever the block size or table."""
     mask, *cells = voxel_indices(spec, cloud.xyz)
     cells, values = np.stack(cells)[:, mask], [v[mask] for v in values]
     groups, which, tables = _kernel_groups(params, mask, exponent_modes)
     nx, ny, nz = spec.cells
-    # All columns, or those a deposit can touch: the points' own, widened by the
-    # largest kernel's reach. A column no entry reaches sums to 0.0, as if untouched.
-    near = np.full((nx, ny), dense)
+    # The columns a deposit can touch: the points' own, widened by the largest
+    # kernel's reach. A column no entry reaches sums to 0.0, as if untouched.
+    near = np.zeros((nx, ny), bool)
     near[cells[0], cells[1]] = True
     for _ in range(max([(side - 1) // 2 for side, sigmas in groups if len(sigmas)], default=0)):
         near[1:] |= near[:-1]
@@ -260,11 +245,11 @@ def _summed(
     rank = np.empty(nx * ny, np.intp)
     rank[cols] = np.arange(len(cols))
     # One array per table, so a caller can keep one without the others.
-    sums = [np.zeros((len(values), len(cols) * nz)) for _ in range(binned + len(tables))]
-    for total, v in zip(sums[0] if binned else (), values):
+    sums = [np.zeros((len(values), len(cols) * nz)) for _ in range(1 + len(tables))]
+    for total, v in zip(sums[0], values):
         np.add.at(total, rank[cells[0] * ny + cells[1]] * nz + cells[2], v)
     for flat, cell, point in _entries(spec, cells, groups, which, rank) if tables else ():
-        for table, w in zip(sums[binned:], tables):
+        for table, w in zip(sums[1:], tables):
             w = w[cell]
             for total, v in zip(table, values):
                 np.add.at(total, flat, w * v[point])
@@ -273,10 +258,11 @@ def _summed(
 
 def _grid(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> VoxelGrid:
     """``voxelize``'s grid with no modes, else the one mode's ``expand``."""
-    mask, cells, _, (sums,) = _summed(
-        cloud, spec, params, exponent_modes, True, cloud.rcs, cloud.v, binned=not exponent_modes
-    )
-    rcs, vel = read_only(sums.reshape(2, *spec.cells))
+    mask, cells, cols, sums = _summed(cloud, spec, params, exponent_modes, cloud.rcs, cloud.v)
+    nx, ny, nz = spec.cells
+    dense = np.zeros((2, nx * ny, nz))
+    dense[:, cols] = sums[-1].reshape(2, len(cols), nz)
+    rcs, vel = read_only(dense.reshape(2, *spec.cells))
     count = np.zeros(spec.cells, dtype=np.int64)
     np.add.at(count, tuple(cells), 1)
     return VoxelGrid(spec, rcs, vel, read_only(count), out_of_range=int(np.count_nonzero(~mask)))
@@ -306,7 +292,7 @@ def residual_bevs(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> 
     RCS is binned and one entry pass deposits every mode's, all into tables of
     only the (x, y) columns the kernels can reach, so no dense grid is built.
     """
-    _, _, cols, sums = _summed(cloud, spec, params, exponent_modes, False, cloud.rcs)
+    _, _, cols, sums = _summed(cloud, spec, params, exponent_modes, cloud.rcs)
     nx, ny, nz = spec.cells
     raw, *expanded = (rcs.reshape(len(cols), nz) for (rcs,) in sums)
     for e in expanded:

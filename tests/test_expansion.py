@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rcbench.expansion as expansion
 from rcbench.core import GridSpec, PointCloud, Rng, default_grid, derive64
 from rcbench.corruption import CorruptionKind, CorruptionSpec, apply_corruption
 from rcbench.expansion import (
@@ -24,9 +23,9 @@ from rcbench.expansion import (
     load_projector_weights,
     merge_residual,
     project_params,
-    save_projector_weights,
     voxelize,
 )
+from test_bench import write_projector_weights
 
 
 def small_grid(n=8):
@@ -104,7 +103,7 @@ class TestProjector:
             b2=gen.normal(size=4),
         )
         path = tmp_path / "proj.json"
-        save_projector_weights(weights, path)
+        write_projector_weights(weights, path)
         loaded = load_projector_weights(path)
         inputs = gen.uniform(-10, 10, size=(50, 2))
         for (rcs, v), got in zip(inputs, project_params(inputs[:, 0], inputs[:, 1], loaded)):
@@ -220,23 +219,6 @@ class TestExpand:
         cloud = cloud_from_rows([[1, 1, 1, 1, 0]])
         with pytest.raises(ValueError):
             expand(cloud, small_grid(), kernel_params([], []), PLANAR_XY)
-
-    def test_expand_sums_only_its_deposit(self, monkeypatch):
-        # expand keeps one table, its mode's deposit, so it bins no raw table;
-        # voxelize's one table is the binned one.
-        tables = []
-
-        def counted(*args, **kwargs):
-            out = summed(*args, **kwargs)
-            tables.append(len(out[-1]))
-            return out
-
-        summed = expansion._summed
-        monkeypatch.setattr(expansion, "_summed", counted)
-        cloud = cloud_from_rows([[4.5, 4.5, 4.5, 2.0, 1.0], [1.5, 6.5, 2.5, 1.0, -1.0]])
-        expand(cloud, small_grid(), kernel_params([3, 5], 1.0), PLANAR_XY)
-        voxelize(cloud, small_grid())
-        assert tables == [1, 1]
 
 
 class TestMergeResidual:

@@ -1,6 +1,7 @@
 """What a sweep rejects before any pipeline runs: counts out of range
 whatever the scene, which the config itself rejects, and scenes with no
-boxes to score, which the sweep rejects.
+boxes to score or with given cluster centers whose boxes miss the grid,
+which the sweep rejects.
 """
 
 import json
@@ -112,4 +113,13 @@ def test_no_box_scene_is_config_error(tmp_path, capsys):
     code, err, report = run_config(tmp_path, capsys, config)
     assert code == 1
     assert "config error" in err and "cluster_count must be at least 1" in err
+    assert not report.exists()
+
+
+def test_off_grid_cluster_centers_are_config_error(tmp_path, capsys):
+    # Given centers fix the boxes, so one that holds no cell center fails every row.
+    config = {"scene": {"cluster_count": 1, "cluster_centers": [[100.0, 100.0, 0.0]]}}
+    code, err, report = run_config(tmp_path, capsys, config)
+    assert code == 1
+    assert "config error: scene.cluster_centers: no grid cells fall inside the boxes" in err
     assert not report.exists()
