@@ -61,14 +61,14 @@ def check_count(
 ) -> None:
     """Raise ValueError when a count kind's count is out of range.
 
-    BeamDrop drops 0 to total_beams beams. KeyPointMissing removes at
+    BeamDrop drops 1 to total_beams beams. KeyPointMissing removes at
     least one point, and at most TARGETED_REMOVAL_CAP with gamma=1 or half
     of the cloud's n points with gamma=0. Only that last cap depends on the
     scene; with n None it is not checked. Sigma kinds have no count.
     """
     if kind is CorruptionKind.BEAM_DROP:
-        if not 0 <= count <= total_beams:
-            raise ValueError(f"drop_count={count} outside [0, total_beams={total_beams}]")
+        if not 1 <= count <= total_beams:
+            raise ValueError(f"drop_count={count} outside [1, total_beams={total_beams}]")
     elif kind is CorruptionKind.KEY_POINT_MISSING:
         cap = TARGETED_REMOVAL_CAP if gamma == 1 else None if n is None else n // 2
         if count < 1 or (cap is not None and count > cap):
@@ -201,7 +201,7 @@ def beam_drop(
     if total_beams < 1:
         raise ValueError(f"total_beams must be positive, got {total_beams}")
     check_count(CorruptionKind.BEAM_DROP, drop_count, total_beams=total_beams)
-    if drop_count == 0 or len(cloud) == 0:
+    if len(cloud) == 0:
         return cloud
     dropped = _sample_without_replacement(
         rng.generator(), np.arange(total_beams), drop_count

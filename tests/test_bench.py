@@ -1054,6 +1054,15 @@ class TestCli:
         )
         assert code == 1
 
+    def test_beam_drop_level_zero_is_exit_1(self, tmp_path, capsys):
+        # Every other kind at level 0 exits 1 too.
+        src = tmp_path / "x.csv"
+        main(["gen-scene", "--seed", "1", "--out", str(src)])
+        argv = ["corrupt", "--kind", "c3", "--level", "0", "--seed", "0", "--in", str(src)]
+        assert main([*argv, "--out", str(tmp_path / "y.csv")]) == 1
+        assert "config error: drop_count=0 outside [1, total_beams=32]" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
+
     def corrupt(self, in_path, out_path):
         argv = ["corrupt", "--kind", "c4", "--level", "1", "--seed", "0"]
         return main([*argv, "--in", str(in_path), "--out", str(out_path)])

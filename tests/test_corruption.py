@@ -181,9 +181,10 @@ class TestNonPositionalDisturbance:
 
 
 class TestBeamDrop:
-    def test_zero_drop_is_identity(self):
-        cloud = random_cloud(100, seed=11)
-        assert beam_drop(cloud, 32, 0, Rng(17)) is cloud
+    def test_zero_drop_is_rejected(self):
+        # A level that drops nothing is no corruption, as KeyPointMissing 0 is not.
+        with pytest.raises(ValueError, match=r"drop_count=0 outside \[1, total_beams=32\]"):
+            beam_drop(random_cloud(100, seed=11), 32, 0, Rng(17))
 
     def test_all_beams_dropped_empties_cloud(self):
         cloud = random_cloud(100, seed=12)

@@ -63,3 +63,11 @@ def test_pooled_run_leaves_numpy_random_and_ma_to_the_workers(tmp_path):
     # Exact names: the run also loads numpy.matrixlib, which "numpy.ma" prefixes.
     assert not loaded & task_modules, loaded
     assert (tmp_path / "out" / "report.csv").exists()
+
+
+def test_serial_run_without_heatmaps_starts_no_writer(tmp_path):
+    # numpy itself loads threading and ctypes, so the writer's own modules
+    # stand for them here.
+    writer_modules = ("concurrent.futures.thread", "queue")
+    assert loaded_after(run_statement(tmp_path, 1), writer_modules) == set()
+    assert (tmp_path / "out" / "report.csv").exists()

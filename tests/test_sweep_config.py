@@ -166,7 +166,7 @@ def sweep_entries(draw, total_beams):
         if kind in SIGMA_KINDS:
             level = st.floats(1e-3, 50.0)
         elif kind is CorruptionKind.BEAM_DROP:
-            level = st.integers(0, total_beams).map(float)
+            level = st.integers(1, total_beams).map(float)
         else:
             level = st.integers(1, TARGETED_REMOVAL_CAP if gamma == 1 else 64).map(float)
         levels = []

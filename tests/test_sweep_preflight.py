@@ -26,7 +26,11 @@ def run_config(tmp_path, capsys, config):
 COUNT_BOUNDS = {
     "beams-above-total": (
         {"corruptions": [{"kind": "BeamDrop", "levels": [40]}], "total_beams": 32},
-        "drop_count=40 outside [0, total_beams=32]",
+        "drop_count=40 outside [1, total_beams=32]",
+    ),
+    "beams-zero": (
+        {"corruptions": [{"kind": "BeamDrop", "levels": [0]}], "total_beams": 32},
+        "drop_count=0 outside [1, total_beams=32]",
     ),
     "keypoint-zero": (
         {"corruptions": [{"kind": "KeyPointMissing", "levels": [0]}]},
@@ -53,6 +57,7 @@ def test_scene_independent_count_bound_is_config_error(tmp_path, capsys, config,
 
 BAD_ENTRIES = {
     "beams-above-total": SweepEntry(kind=CorruptionKind.BEAM_DROP, levels=(40,)),
+    "beams-zero": SweepEntry(kind=CorruptionKind.BEAM_DROP, levels=(0,)),
     "keypoint-zero": SweepEntry(kind=CorruptionKind.KEY_POINT_MISSING, levels=(0,)),
     "targeted-above-cap": SweepEntry(
         kind=CorruptionKind.KEY_POINT_MISSING, levels=(TARGETED_REMOVAL_CAP + 1,), gamma=1
