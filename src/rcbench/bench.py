@@ -66,6 +66,16 @@ from .expansion import (  # noqa: F401
 
 PIPELINES = ("raw", "3dge_planar", "3dge_isotropic")
 
+# The fixed parts of every synthetic scene: a cluster's disc radius and box
+# height, and the ranges that RCS and Doppler values are drawn from.
+CLUSTER_RADIUS_M = 2.0
+BOX_HEIGHT_M = 2.0
+TARGET_RCS_RANGE = (5.0, 10.0)
+NOISE_RCS_RANGE = (0.5, 2.0)
+DOPPLER_RANGE = (-5.0, 5.0)
+# The grid every sweep runs on.
+SWEEP_GRID = default_grid()
+
 # Point pairs, or (query, bucket) lookups, that metric_chamfer takes at once,
 # about: 8192 pairs hold 192 KiB of coordinate differences.
 CHAMFER_BLOCK = 1 << 13
@@ -129,26 +139,13 @@ class SceneConfig:
 
     cluster_count: int = 1
     points_per_cluster: int = 30
-    cluster_radius_m: float = 2.0
     noise_points: int = 50
-    target_rcs_range: tuple[float, float] = (5.0, 10.0)
-    noise_rcs_range: tuple[float, float] = (0.5, 2.0)
-    doppler_range: tuple[float, float] = (-5.0, 5.0)
-    box_height_m: float = 2.0
     cluster_centers: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("cluster_count", "points_per_cluster", "noise_points"):
             if not is_int(getattr(self, name)) or getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be a non-negative integer")
-        for name in ("cluster_radius_m", "box_height_m"):
-            if not is_real(getattr(self, name)) or getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive and finite")
-        for name in ("target_rcs_range", "noise_rcs_range", "doppler_range"):
-            lo, hi = _reals(getattr(self, name), 2, name)
-            if not hi >= lo:
-                raise ConfigError(f"{name} must be ordered, got ({lo}, {hi})")
-            object.__setattr__(self, name, (lo, hi))
         if self.cluster_centers is not None:
             centers = tuple(_reals(c, 3, "a cluster center") for c in self.cluster_centers)
             if len(centers) != self.cluster_count:
@@ -191,7 +188,6 @@ class SweepEntry:
 @dataclass(frozen=True)
 class SweepConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
-    grid: GridSpec = field(default_factory=default_grid)
     corruptions: tuple[SweepEntry, ...] = ()
     pipelines: tuple[str, ...] = ("raw", "3dge_planar")
     # The learned projector's weights file; None selects the heuristic.
@@ -274,11 +270,9 @@ def sweep_config_from_json_dict(payload: dict) -> SweepConfig:
     try:
         if not isinstance(payload, dict):
             raise ConfigError("config root must be a JSON object")
-        built = {
-            name: _from_json(cls, payload[name], name)
-            for name, cls in (("scene", SceneConfig), ("grid", GridSpec))
-            if name in payload
-        }
+        built = {}
+        if "scene" in payload:
+            built["scene"] = _from_json(SceneConfig, payload["scene"], "scene")
         entries = tuple(
             _from_json(SweepEntry, entry, "corruption entry")
             for entry in payload.get("corruptions", ())
@@ -316,10 +310,10 @@ def load_sweep_config(path) -> SweepConfig:
     return sweep_config_from_json_dict(payload)
 
 
-def _cluster_box(cfg: SceneConfig, center) -> BoxAnnotation:
-    """A cluster's box: twice its radius across, ``box_height_m`` tall."""
-    side = 2.0 * cfg.cluster_radius_m
-    return BoxAnnotation(center=center, size=(side, side, cfg.box_height_m), yaw=0.0)
+def _cluster_box(center) -> BoxAnnotation:
+    """A cluster's box: twice CLUSTER_RADIUS_M across, BOX_HEIGHT_M tall."""
+    side = 2.0 * CLUSTER_RADIUS_M
+    return BoxAnnotation(center=center, size=(side, side, BOX_HEIGHT_M), yaw=0.0)
 
 
 def gen_scene(cfg: SceneConfig, grid: GridSpec, rng: Rng) -> Scene:
@@ -337,24 +331,24 @@ def gen_scene(cfg: SceneConfig, grid: GridSpec, rng: Rng) -> Scene:
         if cfg.cluster_centers is not None:
             cx, cy, cz = cfg.cluster_centers[ci]
         else:
-            margin = cfg.cluster_radius_m
+            margin = CLUSTER_RADIUS_M
             cx = float(gen.uniform(x_lo + margin, x_hi - margin))
             cy = float(gen.uniform(y_lo + margin, y_hi - margin))
             cz = 0.0
         n = cfg.points_per_cluster
-        radius = cfg.cluster_radius_m * np.sqrt(gen.uniform(0.0, 1.0, size=n))
+        radius = CLUSTER_RADIUS_M * np.sqrt(gen.uniform(0.0, 1.0, size=n))
         theta = gen.uniform(0.0, 2.0 * math.pi, size=n)
         cluster = np.column_stack(
             [
                 cx + radius * np.cos(theta),
                 cy + radius * np.sin(theta),
                 np.full(n, cz),
-                gen.uniform(*cfg.target_rcs_range, size=n),
-                gen.uniform(*cfg.doppler_range, size=n),
+                gen.uniform(*TARGET_RCS_RANGE, size=n),
+                gen.uniform(*DOPPLER_RANGE, size=n),
             ]
         )
         rows.append(cluster)
-        boxes.append(_cluster_box(cfg, (cx, cy, cz)))
+        boxes.append(_cluster_box((cx, cy, cz)))
     m = cfg.noise_points
     if m:
         rows.append(
@@ -363,8 +357,8 @@ def gen_scene(cfg: SceneConfig, grid: GridSpec, rng: Rng) -> Scene:
                     gen.uniform(x_lo, x_hi, size=m),
                     gen.uniform(y_lo, y_hi, size=m),
                     gen.uniform(z_lo, z_hi, size=m),
-                    gen.uniform(*cfg.noise_rcs_range, size=m),
-                    gen.uniform(*cfg.doppler_range, size=m),
+                    gen.uniform(*NOISE_RCS_RANGE, size=m),
+                    gen.uniform(*DOPPLER_RANGE, size=m),
                 ]
             )
         )
@@ -532,8 +526,6 @@ class _Buckets:
         flat = self.stride @ self.keys(p)
         self.count = np.bincount(flat, minlength=cells.prod() + 1)
         self.first = np.cumsum(self.count) - self.count
-        self.occupied = np.flatnonzero(self.count)
-        self.occupied_keys = np.stack(np.unravel_index(self.occupied, cells))
         self.p = p.take(np.argsort(flat, kind="stable"), axis=1)
 
     def keys(self, x: np.ndarray) -> np.ndarray:
@@ -553,12 +545,6 @@ class _Buckets:
         rows, cols = np.nonzero(self.count[nb])
         return rows, nb[rows, cols], shell[:, cols]
 
-    def scanned(self, near: np.ndarray, ring: int):
-        """``looked_up`` for ring ``ring``'s shell, from a scan of the occupied buckets."""
-        ring_of = np.abs(near[:, :, None] - self.occupied_keys[:, None, :]).max(axis=0)
-        rows, cols = np.nonzero(ring_of == ring)
-        return rows, self.occupied[cols], self.occupied_keys[:, cols] - near[:, rows]
-
 
 def _search(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Distance from each column of q to its nearest column of p.
@@ -567,8 +553,7 @@ def _search(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     each query visits Chebyshev rings of buckets around its own, ring by
     ring for all pending queries at once. A ring's buckets come from its
     shell of offsets, enumerated once and looked up in the table for every
-    pending query, or from a scan of the occupied buckets where that list is
-    the shorter. A bucket whose box is no nearer than the query's best so
+    pending query. A bucket whose box is no nearer than the query's best so
     far is skipped. A query is done when its best distance is 0.0, when its
     best is below the distance to the ring's outer faces less a slack, or
     when its rings cover every occupied bucket. Lookups and candidate point
@@ -618,15 +603,12 @@ def _search(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     ring = 0
     while pending.size:
         shell = _shell(ring, last)
-        step = max(1, CHAMFER_BLOCK // min(shell.shape[1], len(grid.occupied)))
+        step = max(1, CHAMFER_BLOCK // shell.shape[1])
         stay = []
         for a in range(0, pending.size, step):
             block = pending[a : a + step]
             near = qk.take(block, axis=1)
-            if shell.shape[1] <= len(grid.occupied):
-                rows, buckets, off = grid.looked_up(near, shell)
-            else:
-                rows, buckets, off = grid.scanned(near, ring)
+            rows, buckets, off = grid.looked_up(near, shell)
             if ring:
                 # Skip a bucket whose box is no nearer than the query's best so
                 # far, less the slack of the stop test; ring 0 has no best yet.
@@ -726,24 +708,25 @@ def _run_task(
     row_seed = derive64(
         cfg.master_seed, KIND_IDS[entry.kind], float_bits(level), replicate
     )
-    scene = gen_scene(cfg.scene, cfg.grid, Rng(row_seed))
+    grid = SWEEP_GRID
+    scene = gen_scene(cfg.scene, grid, Rng(row_seed))
     spec = entry.spec_for(level, seed=derive64(row_seed, 1))
     error: str | None = None
     try:
         corrupted = apply_corruption(
-            scene.cloud, spec, boxes=scene.boxes, bounds=cfg.grid, total_beams=cfg.total_beams
+            scene.cloud, spec, boxes=scene.boxes, bounds=grid, total_beams=cfg.total_beams
         )
         # metric_snr's box checks depend only on the boxes and the grid, so a
         # scene they reject fails before any pipeline runs.
-        _planar_box_mask(cfg.grid.cells[:2], scene.boxes, cfg.grid)
+        _planar_box_mask(grid.cells[:2], scene.boxes, grid)
         # One cloud at a time: only its BEVs outlive the call, not its grids.
-        processed = _pipeline_bevs(corrupted, cfg.grid, cfg.pipelines, weights)
-        snr_before = metric_snr(processed["raw"], scene.boxes, cfg.grid)
+        processed = _pipeline_bevs(corrupted, grid, cfg.pipelines, weights)
+        snr_before = metric_snr(processed["raw"], scene.boxes, grid)
         snr_after = {
-            p: snr_before if p == "raw" else metric_snr(processed[p], scene.boxes, cfg.grid)
+            p: snr_before if p == "raw" else metric_snr(processed[p], scene.boxes, grid)
             for p in cfg.pipelines
         }
-        clean = _pipeline_bevs(scene.cloud, cfg.grid, cfg.pipelines, weights)
+        clean = _pipeline_bevs(scene.cloud, grid, cfg.pipelines, weights)
         peaks = {p: metric_peak(clean[p], processed[p]) for p in cfg.pipelines}
         chamfer = metric_chamfer(scene.cloud, corrupted)
     except Exception as exc:
@@ -796,10 +779,11 @@ def run_sweep(
     if cfg.scene.cluster_count == 0:
         raise ConfigError("scene.cluster_count must be at least 1: rows score the cluster boxes")
     if cfg.scene.cluster_centers is not None:
-        # Given centers fix the boxes; random ones are checked row by row.
-        boxes = tuple(_cluster_box(cfg.scene, c) for c in cfg.scene.cluster_centers)
+        # Given centers fix the boxes. Random ones lie a cluster radius inside
+        # the grid, so their boxes always hold some cell centers.
+        boxes = tuple(_cluster_box(c) for c in cfg.scene.cluster_centers)
         try:
-            _planar_box_mask(cfg.grid.cells[:2], boxes, cfg.grid)
+            _planar_box_mask(SWEEP_GRID.cells[:2], boxes, SWEEP_GRID)
         except ValueError as exc:
             raise ConfigError(f"scene.cluster_centers: {exc}") from exc
     weights = None

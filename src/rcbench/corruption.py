@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import GridSpec, PointCloud, Rng, is_int, is_real, points_in_any_box_mask
 
-# The range gen_manifest draws a sigma kind's level from.
+# The range gen_manifest draws a sigma kind's level from; spec_for_level
+# rejects a sigma above its top.
 SIGMA_RANGE = (1.0, 50.0)
 # Azimuth sectors used to emulate radar beams; points carry no beam index,
 # so beams are synthesized as equal sectors around the sensor origin.
@@ -255,12 +256,15 @@ def spec_for_level(
     """The spec for one severity level of a kind.
 
     The level is the sigma of a SIGMA_KINDS kind, which must be positive
-    and finite, and otherwise a count, which must be a non-negative
-    integer; anything else raises ValueError. A sigma kind's spec takes
-    ``mode`` and ``spurious_ratio``, a count kind's takes ``gamma``.
+    and at most ``SIGMA_RANGE[1]`` metres, and otherwise a count, which
+    must be a non-negative integer; anything else raises ValueError. A
+    sigma kind's spec takes ``mode`` and ``spurious_ratio``, a count
+    kind's takes ``gamma``.
     """
     kind = CorruptionKind(kind)
     if kind in SIGMA_KINDS:
+        if level > SIGMA_RANGE[1]:
+            raise ValueError(f"{kind.value} sigma must be at most {SIGMA_RANGE[1]:g}, got {level}")
         return CorruptionSpec(
             kind=kind, seed=seed, mode=mode, sigma=level, spurious_ratio=spurious_ratio
         )

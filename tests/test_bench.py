@@ -1063,6 +1063,17 @@ class TestCli:
         assert "config error: drop_count=0 outside [1, total_beams=32]" in capsys.readouterr().err
         assert not (tmp_path / "y.csv").exists()
 
+    def test_sigma_of_50_runs(self, tmp_path):
+        payload = {"corruptions": [{"kind": "PointShifting", "levels": [50]}], "replicates": 1}
+        code, out_dir = self.run_config(tmp_path, payload)
+        assert code == 0
+        assert (out_dir / "report.csv").exists()
+        src = tmp_path / "x.csv"
+        main(["gen-scene", "--seed", "1", "--out", str(src)])
+        argv = ["corrupt", "--kind", "c4", "--level", "50", "--seed", "0", "--in", str(src)]
+        assert main([*argv, "--out", str(tmp_path / "y.csv")]) == 0
+        assert len(read_point_cloud_csv(tmp_path / "y.csv")) == 80
+
     def corrupt(self, in_path, out_path):
         argv = ["corrupt", "--kind", "c4", "--level", "1", "--seed", "0"]
         return main([*argv, "--in", str(in_path), "--out", str(out_path)])

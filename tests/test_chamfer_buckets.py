@@ -1,6 +1,5 @@
 """Chamfer bucket search: its work follows the candidate pairs, and it equals
-the brute-force oracle on clustered clouds whose rings take both the shell
-lookup and the occupied-bucket scan.
+the brute-force oracle on clustered clouds with empty regions.
 """
 
 import numpy as np
@@ -14,10 +13,10 @@ from test_chamfer_search import assert_equals_oracle, cloud
 @pytest.fixture
 def work(monkeypatch):
     """Point pairs whose distance is taken, and (query, bucket) pairs each
-    ring's shell lookup or occupied-bucket scan examines."""
-    counts = {"pairs": 0, "looked_up": 0, "scanned": 0}
+    ring's shell lookup examines."""
+    counts = {"pairs": 0, "looked_up": 0}
     distances = bench._distances
-    looked_up, scanned = bench._Buckets.looked_up, bench._Buckets.scanned
+    looked_up = bench._Buckets.looked_up
 
     def counted_distances(q, who, p, pts):
         counts["pairs"] += len(who)
@@ -27,13 +26,8 @@ def work(monkeypatch):
         counts["looked_up"] += near.shape[1] * shell.shape[1]
         return looked_up(grid, near, shell)
 
-    def counted_scan(grid, near, ring):
-        counts["scanned"] += near.shape[1] * len(grid.occupied)
-        return scanned(grid, near, ring)
-
     monkeypatch.setattr(bench, "_distances", counted_distances)
     monkeypatch.setattr(bench._Buckets, "looked_up", counted_lookup)
-    monkeypatch.setattr(bench._Buckets, "scanned", counted_scan)
     return counts
 
 
@@ -47,7 +41,7 @@ def test_candidate_pairs_are_linear_at_20k_uniform_points(work, depth):
     metric_chamfer(a, b)
     queries = 2 * n
     assert work["pairs"] <= 200 * queries
-    assert work["looked_up"] + work["scanned"] <= 50 * queries
+    assert work["looked_up"] <= 50 * queries
 
 
 def clustered(seed, n_queries):
@@ -64,8 +58,7 @@ def clustered(seed, n_queries):
 def test_clustered_clouds_with_empty_regions_equal_oracle(work, seed):
     points, queries = clustered(seed, 600)
     assert_equals_oracle(points, queries)
-    # Far rings hold more offsets than there are occupied buckets.
-    assert work["looked_up"] > 0 and work["scanned"] > 0
+    assert work["looked_up"] > 0
 
 
 def test_queries_inside_dense_clusters_equal_oracle(monkeypatch):

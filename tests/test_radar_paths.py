@@ -20,6 +20,7 @@ import rcbench.expansion as expansion
 from rcbench.bench import (
     KIND_IDS,
     PIPELINES,
+    SWEEP_GRID,
     BenchRow,
     SceneConfig,
     SweepConfig,
@@ -281,22 +282,22 @@ def per_row_sweep(cfg, weights=None):
         for level in entry.levels:
             for replicate in range(cfg.replicates):
                 seed = derive64(cfg.master_seed, KIND_IDS[entry.kind], float_bits(level), replicate)
-                scene = gen_scene(cfg.scene, cfg.grid, Rng(seed))
+                scene = gen_scene(cfg.scene, SWEEP_GRID, Rng(seed))
                 spec = entry.spec_for(level, seed=derive64(seed, 1))
                 for pipeline in cfg.pipelines:
                     key = dict(kind=entry.kind.value, level=level, replicate=replicate, pipeline=pipeline)
                     try:
                         corrupted = apply_corruption(
-                            scene.cloud, spec, boxes=scene.boxes, bounds=cfg.grid,
+                            scene.cloud, spec, boxes=scene.boxes, bounds=SWEEP_GRID,
                             total_beams=cfg.total_beams,
                         )
-                        raw = pipeline_bev(corrupted, cfg.grid, "raw")
-                        before = metric_snr(raw, scene.boxes, cfg.grid)
-                        clean = pipeline_bev(scene.cloud, cfg.grid, pipeline, weights)
-                        processed = pipeline_bev(corrupted, cfg.grid, pipeline, weights)
+                        raw = pipeline_bev(corrupted, SWEEP_GRID, "raw")
+                        before = metric_snr(raw, scene.boxes, SWEEP_GRID)
+                        clean = pipeline_bev(scene.cloud, SWEEP_GRID, pipeline, weights)
+                        processed = pipeline_bev(corrupted, SWEEP_GRID, pipeline, weights)
                         after = (
                             before if pipeline == "raw"
-                            else metric_snr(processed, scene.boxes, cfg.grid)
+                            else metric_snr(processed, scene.boxes, SWEEP_GRID)
                         )
                         consistent, l2 = metric_peak(clean, processed)
                         chamfer = metric_chamfer(scene.cloud, corrupted)

@@ -19,7 +19,6 @@ from rcbench.bench import (
     sweep_config_to_json_dict,
 )
 from rcbench.cli import main
-from rcbench.core import GridSpec
 from rcbench.corruption import (
     SIGMA_KINDS,
     TARGETED_REMOVAL_CAP,
@@ -72,6 +71,11 @@ BAD_VALUES = {
         "corruptions": [{"kind": "SpuriousPoints", "levels": [1], "spurious_ratio": 2}]
     },
     "spurious-level-inf": {"corruptions": [{"kind": "SpuriousPoints", "levels": [math.inf]}]},
+    # Ran, with rows that read chamfer_m inf.
+    **{
+        f"{kind}-level-1e300": {"corruptions": [{"kind": kind, "levels": [1e300]}]}
+        for kind in ("SpuriousPoints", "PointShifting", "NonPositionalDisturbance")
+    },
 }
 
 
@@ -80,6 +84,28 @@ def test_bad_value_is_config_error(tmp_path, capsys, overrides):
     code, err = run_config(tmp_path, capsys, overrides)
     assert code == 1
     assert "config error" in err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+# Keys the sweep config no longer has, each with a legal value: the scene's
+# fixed parts are module constants, and every sweep runs on the default grid.
+REMOVED_KEYS = {
+    "grid": ("config", {"grid": {**GRID, "cells": [4, 4, 2]}}),
+    "cluster_radius_m": ("scene", {"scene": {"cluster_radius_m": 2.0}}),
+    "box_height_m": ("scene", {"scene": {"box_height_m": 2.0}}),
+    "target_rcs_range": ("scene", {"scene": {"target_rcs_range": [5, 10]}}),
+    "noise_rcs_range": ("scene", {"scene": {"noise_rcs_range": [0.5, 2]}}),
+    "doppler_range": ("scene", {"scene": {"doppler_range": [-5, 5]}}),
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_an_unknown_field(tmp_path, capsys, key):
+    context, overrides = REMOVED_KEYS[key]
+    code, err = run_config(tmp_path, capsys, overrides)
+    assert code == 1
+    assert f"config error: unknown {context} fields: [{key!r}]" in err
+    assert not (tmp_path / "out" / "report.csv").exists()
 
 
 DUPLICATES = {
@@ -115,7 +141,16 @@ def test_duplicate_rows_are_config_errors(tmp_path, capsys, overrides, named):
 
 @pytest.mark.parametrize(
     "kind, level",
-    [("c3", "inf"), ("c3", "2.5"), ("keypoint", "nan"), ("c1", "inf"), ("c4", "-1")],
+    [
+        ("c3", "inf"),
+        ("c3", "2.5"),
+        ("keypoint", "nan"),
+        ("c1", "inf"),
+        ("c4", "-1"),
+        ("c1", "1e300"),
+        ("c2", "1e300"),
+        ("c4", "1e300"),
+    ],
 )
 def test_corrupt_bad_level_is_exit_1(tmp_path, capsys, kind, level):
     src = tmp_path / "x.csv"
@@ -124,11 +159,10 @@ def test_corrupt_bad_level_is_exit_1(tmp_path, capsys, kind, level):
     code = main(argv + ["--in", str(src), "--out", str(tmp_path / "y.csv")])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
-positive = st.floats(1e-3, 1e3)
-ordered = st.tuples(finite, finite).map(lambda t: tuple(sorted(t)))
 
 
 @st.composite
@@ -138,22 +172,9 @@ def scene_configs(draw):
     return SceneConfig(
         cluster_count=count,
         points_per_cluster=draw(st.integers(0, 100)),
-        cluster_radius_m=draw(positive),
         noise_points=draw(st.integers(0, 100)),
-        target_rcs_range=draw(ordered),
-        noise_rcs_range=draw(ordered),
-        doppler_range=draw(ordered),
-        box_height_m=draw(positive),
         cluster_centers=draw(st.none() | centers.map(tuple)),
     )
-
-
-@st.composite
-def grid_specs(draw):
-    span = st.tuples(finite, positive).map(lambda t: (t[0], t[0] + t[1]))
-    ranges = [draw(span) for _ in "xyz"]
-    cells = draw(st.tuples(*[st.integers(1, 256)] * 3))
-    return GridSpec(*ranges, cells=cells)
 
 
 @st.composite
@@ -193,7 +214,6 @@ def sweep_configs(draw):
     total_beams = draw(st.integers(1, 64))
     return SweepConfig(
         scene=draw(scene_configs()),
-        grid=draw(grid_specs()),
         corruptions=draw(sweep_entries(total_beams)),
         pipelines=tuple(draw(st.lists(st.sampled_from(PIPELINES), min_size=1, unique=True))),
         projector_weights=draw(st.none() | st.text(min_size=1, max_size=12)),
@@ -232,6 +252,5 @@ def test_readme_sweep_config_is_the_default():
     full = sweep_config_to_json_dict(default_sweep_config())
     assert payload.keys() == full.keys()
     assert payload["scene"].keys() == full["scene"].keys()
-    assert payload["grid"].keys() == full["grid"].keys()
     assert set().union(*payload["corruptions"]) == set(full["corruptions"][0])
 
