@@ -56,15 +56,18 @@ from .expansion import (  # noqa: F401
     PLANAR_XY,
     ProjectorWeights,
     bev_project,
+    column_bevs,
     expand,
     kernel_params_for_cloud,
     load_projector_weights,
     merge_residual,
     residual_bevs,
+    residual_columns,
     voxelize,
 )
 
 PIPELINES = ("raw", "3dge_planar", "3dge_isotropic")
+PIPELINE_MODES = {"3dge_planar": PLANAR_XY, "3dge_isotropic": ISOTROPIC_3D}
 
 # The fixed parts of every synthetic scene: a cluster's disc radius and box
 # height, and the ranges that RCS and Doppler values are drawn from.
@@ -75,6 +78,8 @@ NOISE_RCS_RANGE = (0.5, 2.0)
 DOPPLER_RANGE = (-5.0, 5.0)
 # The grid every sweep runs on.
 SWEEP_GRID = default_grid()
+# Consecutive tasks whose clouds a serial sweep deposits together.
+BATCH_TASKS = 3
 
 # Point pairs, or (query, bucket) lookups, that metric_chamfer takes at once,
 # about: 8192 pairs hold 192 KiB of coordinate differences.
@@ -373,25 +378,6 @@ def scripted_scene(seed: int) -> Scene:
     return gen_scene(cfg, default_grid(), Rng(seed))
 
 
-def _pipeline_bevs(
-    cloud: PointCloud, grid: GridSpec, pipelines, weights: ProjectorWeights | None
-) -> dict[str, np.ndarray]:
-    """BEV heatmaps of a cloud under "raw" and each named pipeline.
-
-    The cloud is binned once, its kernel params are grouped once and one
-    entry pass serves every pipeline that expands it; no dense grid is
-    merged or projected (see ``residual_bevs``).
-    """
-    for pipeline in pipelines:
-        if pipeline not in PIPELINES:
-            raise ValueError(f"unknown pipeline {pipeline!r}")
-    expanding = [p for p in pipelines if p != "raw"]
-    params = kernel_params_for_cloud(cloud, weights) if expanding else None
-    modes = [PLANAR_XY if p == "3dge_planar" else ISOTROPIC_3D for p in expanding]
-    raw, *merged = residual_bevs(cloud, grid, params, modes)
-    return {"raw": raw, **dict(zip(expanding, merged))}
-
-
 def pipeline_bev(
     cloud: PointCloud,
     grid: GridSpec,
@@ -399,13 +385,17 @@ def pipeline_bev(
     weights: ProjectorWeights | None = None,
 ) -> np.ndarray:
     """BEV heatmap of a cloud under one of the named pipelines."""
-    return _pipeline_bevs(cloud, grid, (pipeline,), weights)[pipeline]
+    if pipeline not in PIPELINES:
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    modes = [PIPELINE_MODES[pipeline]] if pipeline in PIPELINE_MODES else []
+    params = kernel_params_for_cloud(cloud, weights) if modes else None
+    return residual_bevs(cloud, grid, params, modes)[-1]
 
 
 @functools.lru_cache(maxsize=1)
 def _planar_box_mask(bev_shape: tuple, boxes: tuple, spec: GridSpec) -> np.ndarray:
-    """Cells whose centers fall in some box footprint, read-only; raises if
-    none can. A sweep task asks three times, so the last mask is kept."""
+    """Cells whose centers fall in some box footprint, read-only; raises if none can. Each box
+    is tested only within a cell of its half-diagonal. The last mask is kept for the next ask."""
     if not boxes:
         raise ValueError("metric_snr requires at least one box")
     nx, ny = bev_shape
@@ -414,7 +404,10 @@ def _planar_box_mask(bev_shape: tuple, boxes: tuple, spec: GridSpec) -> np.ndarr
     centers_y = spec.y_range[0] + (np.arange(ny) + 0.5) * csy
     mask = np.zeros((nx, ny), dtype=bool)
     for box in boxes:
-        mask |= in_box_footprint(centers_x[:, None], centers_y[None, :], box)
+        r = math.hypot(*box.size[:2]) / 2.0
+        x0, x1 = np.searchsorted(centers_x, (box.center[0] - r - csx, box.center[0] + r + csx))
+        y0, y1 = np.searchsorted(centers_y, (box.center[1] - r - csy, box.center[1] + r + csy))
+        mask[x0:x1, y0:y1] |= in_box_footprint(centers_x[x0:x1, None], centers_y[None, y0:y1], box)
     if not mask.any():
         raise ValueError("no grid cells fall inside the boxes")
     return read_only(mask)
@@ -697,6 +690,29 @@ class BenchRow:
     error: str | None = None
 
 
+def _deposited(tasks) -> list:
+    """Per task ``(cfg, entry, level, replicate, weights, ...)`` of a sweep, its scene, its
+    corrupted cloud or the exception that stopped it, and one call's ``residual_columns``
+    of both clouds."""
+    modes = [PIPELINE_MODES[p] for p in tasks[0][0].pipelines if p != "raw"]
+    done, clouds, params = [], [], []
+    for cfg, entry, level, replicate, weights, *_ in tasks:
+        row_seed = derive64(cfg.master_seed, KIND_IDS[entry.kind], float_bits(level), replicate)
+        scene = gen_scene(cfg.scene, SWEEP_GRID, Rng(row_seed))
+        spec = entry.spec_for(level, seed=derive64(row_seed, 1))
+        try:
+            pair = [apply_corruption(scene.cloud, spec, boxes=scene.boxes, bounds=SWEEP_GRID,
+                                     total_beams=cfg.total_beams), scene.cloud]
+            params += [kernel_params_for_cloud(c, weights) if modes else None for c in pair]
+            clouds += pair
+            done.append((scene, pair[0]))
+        except Exception as exc:
+            done.append((scene, exc.with_traceback(None)))
+    columns = residual_columns(clouds, SWEEP_GRID, params, modes)
+    return [(s, c, None if isinstance(c, Exception) else (next(columns), next(columns)))
+            for s, c in done]
+
+
 def _run_task(
     cfg: SweepConfig,
     entry: SweepEntry,
@@ -704,29 +720,22 @@ def _run_task(
     replicate: int,
     weights: ProjectorWeights | None,
     want_heatmaps: bool,
+    prepared=None,
 ):
-    row_seed = derive64(
-        cfg.master_seed, KIND_IDS[entry.kind], float_bits(level), replicate
-    )
+    """One task's rows and heatmaps, from its ``_deposited`` entry if given."""
+    scene, corrupted, columns = prepared or _deposited([(cfg, entry, level, replicate, weights)])[0]
     grid = SWEEP_GRID
-    scene = gen_scene(cfg.scene, grid, Rng(row_seed))
-    spec = entry.spec_for(level, seed=derive64(row_seed, 1))
     error: str | None = None
     try:
-        corrupted = apply_corruption(
-            scene.cloud, spec, boxes=scene.boxes, bounds=grid, total_beams=cfg.total_beams
-        )
-        # metric_snr's box checks depend only on the boxes and the grid, so a
-        # scene they reject fails before any pipeline runs.
-        _planar_box_mask(grid.cells[:2], scene.boxes, grid)
-        # One cloud at a time: only its BEVs outlive the call, not its grids.
-        processed = _pipeline_bevs(corrupted, grid, cfg.pipelines, weights)
+        if isinstance(corrupted, Exception):
+            raise corrupted
+        names = ["raw", *(p for p in cfg.pipelines if p != "raw")]
+        processed, clean = (dict(zip(names, column_bevs(grid, *c))) for c in columns)
         snr_before = metric_snr(processed["raw"], scene.boxes, grid)
         snr_after = {
             p: snr_before if p == "raw" else metric_snr(processed[p], scene.boxes, grid)
             for p in cfg.pipelines
         }
-        clean = _pipeline_bevs(scene.cloud, grid, cfg.pipelines, weights)
         peaks = {p: metric_peak(clean[p], processed[p]) for p in cfg.pipelines}
         chamfer = metric_chamfer(scene.cloud, corrupted)
     except Exception as exc:
@@ -801,7 +810,9 @@ def run_sweep(
     # A pool starts its workers up front, so never ask for more than can run.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return (_run_task(*task) for task in tasks)
+        # Each batch is prepared and deposited when its first task is asked for.
+        batches = (tasks[lo : lo + BATCH_TASKS] for lo in range(0, len(tasks), BATCH_TASKS))
+        return (_run_task(*task, p) for b in batches for task, p in zip(b, _deposited(b)))
     return _pooled(tasks, workers)
 
 

@@ -40,6 +40,8 @@ SIGMA_FLOOR = 0.1
 # Kernel cells per block of _entries: a block holds whole kernels, at least
 # one, so at most max(this, 125) entries, each a few int64s, are held at once.
 DEPOSIT_BLOCK_ENTRIES = 1 << 13
+# Points that residual_columns deposits in one pass, across consecutive clouds.
+DEPOSIT_BATCH_POINTS = 1 << 10
 
 
 def _checked_sigma(sigma) -> np.ndarray:
@@ -173,37 +175,38 @@ def build_kernel(side: int, sigma, exponent_mode: str = PLANAR_XY) -> np.ndarray
     return cubes.reshape(sigma.shape + (side,) * 3)
 
 
-def _kernel_groups(params, mask: np.ndarray, exponent_modes):
-    """Check one record per point of a cloud with in-range points ``mask``,
-    and number one kernel per distinct (side, sigma): ``(groups, which,
-    tables)``, with ``[(side, sigmas), ...]`` side after side, each in-range
-    point's kernel, and per mode every raveled cube of those same kernels."""
+def _kernel_groups(params, sizes: list[int], mask: np.ndarray, exponent_modes):
+    """Check one record per point of clouds of ``sizes`` points with in-range
+    points ``mask``, and number one kernel per distinct (side, sigma):
+    ``(groups, which, sides, tables)``, with ``[(side, sigmas), ...]`` side
+    after side, each in-range point's kernel and side (1 with no modes), and
+    per mode every raveled cube of those same kernels."""
     if not exponent_modes:
-        return [], None, []
-    checked = kernel_params(params["lambda_p"], params["sigma"])
-    if len(checked) != len(mask):
-        raise ValueError(f"{len(checked)} kernel params for {len(mask)} points")
+        return [], None, np.ones(np.count_nonzero(mask), np.int64), []
+    if [len(p) for p in params] != sizes:
+        raise ValueError(f"{[len(p) for p in params]} kernel params for {sizes} points")
+    records = np.concatenate(params)
+    checked = kernel_params(records["lambda_p"], records["sigma"])
     # Complex numbers sort by real part first, so kernels go side after side.
     kinds, which = np.unique(checked["lambda_p"] + 1j * checked["sigma"], return_inverse=True)
     groups = [(side, kinds.imag[kinds.real == side]) for side in LAMBDA_CHOICES]
     cubes = [[build_kernel(s, sig, mode).ravel() for s, sig in groups] for mode in exponent_modes]
-    return groups, which[mask], [np.concatenate(c) for c in cubes]
+    return groups, which[mask], checked["lambda_p"][mask], [np.concatenate(c) for c in cubes]
 
 
-def _entries(spec: GridSpec, cells: np.ndarray, groups, which: np.ndarray, rank: np.ndarray):
+def _entries(key: np.ndarray, z: np.ndarray, groups, which: np.ndarray, rank, nz: int):
     """Yield ``(flat cell, kernel cell, point)`` blocks of whole kernels, at
     most DEPOSIT_BLOCK_ENTRIES kernel cells each unless one kernel is larger,
     for point i's kernel ``which[i]`` (numbered as ``_kernel_groups`` does)
-    centered on ``cells[:, i]``. Grid cell (x, y, z) is flat cell
-    ``rank[x * ny + y] * nz + z`` of a table of columns, and kernel cell c
-    indexes every mode's weight table alike, so one block serves them all.
-    Cells outside the grid are dropped, and entries come in point order, each
-    kernel's in C order."""
+    centered on height ``z[i]`` of flat (x, y) column ``key[i]`` of ``rank``:
+    height z of column k is flat cell ``rank[k] * nz + z`` of a table, and a
+    cell past the grid's heights is dropped. Kernel cell c indexes every
+    mode's weights alike, so one block serves them all, in point order."""
     # One column per kernel cell, kernel after kernel: its per-axis offsets.
     offsets = np.concatenate([np.tile(_FOOTPRINTS[s], len(sig)) for s, sig in groups], axis=1)
     sizes = np.concatenate([np.full(len(sigmas), side**3) for side, sigmas in groups])
     starts = np.cumsum(sizes) - sizes
-    nx, ny, nz = spec.cells
+    step, rise = offsets[0].astype(np.int64) * rank.shape[-1] + offsets[1], offsets[2]
     for lo, hi in bounded_runs(sizes[which], DEPOSIT_BLOCK_ENTRIES):
         picks = which[lo:hi]
         n = sizes[picks]
@@ -211,60 +214,72 @@ def _entries(spec: GridSpec, cells: np.ndarray, groups, which: np.ndarray, rank:
         point = np.repeat(np.arange(lo, hi), n)
         # Cell j of a point's kernel is column starts[kernel] + j of the table.
         row = np.arange(first[-1] + n[-1]) + np.repeat(starts[picks] - first, n)
-        x, y, z = (c[point] + d[row] for c, d in zip(cells, offsets))
-        # A negative index reads as a huge unsigned one, so one compare bounds each axis.
-        inside = (x.view(np.uint64) < nx) & (y.view(np.uint64) < ny) & (z.view(np.uint64) < nz)
-        block = rank[(x * ny + y)[inside]] * nz + z[inside], row[inside], point[inside]
+        col, at = rank.take(key[point] + step[row]), z[point] + rise[row]
+        # A negative height reads as a huge unsigned one, so one compare bounds it.
+        inside = at.view(np.uint64) < nz
+        block = col[inside] * nz + at[inside], row[inside], point[inside]
         # Only the block stays alive while the caller works on it.
-        del point, row, x, y, z, inside
+        del point, row, col, at, inside
         yield block
 
 
-def _summed(cloud: PointCloud, spec: GridSpec, params, exponent_modes, *values):
-    """``(mask, cells, cols, tables)``: each of ``values`` (one per point)
-    summed into ``(len(cols), nz)`` tables of the grid's (x, y) columns
-    ``cols`` that the kernels can reach. The first table bins each point's
-    value at its own cell, as a unit kernel's ``1.0 * v`` did bit for bit;
-    one per mode follows, adding ``w[kernel cell] * v[point]`` from one
-    ``_entries`` pass. ``np.add.at`` adds in point order, so every cell sums
-    in point order whatever the block size or table."""
-    mask, *cells = voxel_indices(spec, cloud.xyz)
-    cells, values = np.stack(cells)[:, mask], [v[mask] for v in values]
-    groups, which, tables = _kernel_groups(params, mask, exponent_modes)
+def _summed(clouds, spec: GridSpec, params, exponent_modes, *fields):
+    """``(mask, cells, cols, sums)`` of the clouds' points laid end to end,
+    ``cells`` holding each in-range point's cloud b, x, y and z: each data
+    column in ``fields`` summed into ``(len(cols), nz)`` tables of the columns
+    ``cols`` the kernels reach, cloud b's (x, y) being ``(b * nx + x) * ny +
+    y``. The first table bins each point's value at its own cell, as a unit
+    kernel's ``1.0 * v`` did bit for bit; one per mode follows, adding ``w[kernel
+    cell] * v[point]`` from one ``_entries`` pass. ``np.add.at`` adds in point
+    order, so a cell sums its cloud's points in that order whatever the block."""
+    sizes = [len(c) for c in clouds]
+    data = np.concatenate([c.data for c in clouds])
+    mask, *cells = voxel_indices(spec, data[:, :3])
     nx, ny, nz = spec.cells
-    # The columns a deposit can touch: the points' own, widened by the largest
-    # kernel's reach. A column no entry reaches sums to 0.0, as if untouched.
-    near = np.zeros((nx, ny), bool)
-    near[cells[0], cells[1]] = True
-    for _ in range(max([(side - 1) // 2 for side, sigmas in groups if len(sigmas)], default=0)):
-        near[1:] |= near[:-1]
-        near[:-1] |= near[1:]
-        near[:, 1:] |= near[:, :-1]
-        near[:, :-1] |= near[:, 1:]
+    cloud = np.repeat(np.arange(len(clouds)), sizes)
+    cells, values = np.stack([cloud, *cells])[:, mask], [data[mask, f] for f in fields]
+    groups, which, sides, tables = _kernel_groups(params, sizes, mask, exponent_modes)
+    # Each cloud's columns, bordered by the widest reach so no kernel leaves them. A
+    # deposit touches each point's column, widened by its kernel's reach, widest first.
+    reach = (sides - 1) // 2
+    pad = reach.max(initial=0)
+    near = np.zeros((len(clouds), nx + 2 * pad, ny + 2 * pad), bool)
+    inner = near[:, pad : pad + nx, pad : pad + ny]
+    for r in range(pad, -1, -1):
+        inner[tuple(cells[:3, reach == r])] = True
+        if r:
+            inner[:, 1:] |= inner[:, :-1]
+            inner[:, :-1] |= inner[:, 1:]
+            inner[:, :, 1:] |= inner[:, :, :-1]
+            inner[:, :, :-1] |= inner[:, :, 1:]
     cols = np.flatnonzero(near)
-    rank = np.empty(nx * ny, np.intp)
-    rank[cols] = np.arange(len(cols))
-    # One array per table, so a caller can keep one without the others.
-    sums = [np.zeros((len(values), len(cols) * nz)) for _ in range(1 + len(tables))]
-    for total, v in zip(sums[0], values):
-        np.add.at(total, rank[cells[0] * ny + cells[1]] * nz + cells[2], v)
-    for flat, cell, point in _entries(spec, cells, groups, which, rank) if tables else ():
+    # The border ranks past the tables, in one column that takes what falls off the grid.
+    rank = np.full(near.shape, len(cols), np.min_scalar_type((len(cols) + 1) * nz))
+    del near, inner
+    rank.put(cols, np.arange(len(cols)))
+    key = np.ravel_multi_index((cells[0], cells[1] + pad, cells[2] + pad), rank.shape)
+    sums = np.zeros((1 + len(tables), len(values), len(cols) + 1, nz))
+    for total, v in zip(sums[0].reshape(len(values), -1), values):
+        np.add.at(total, rank.take(key) * nz + cells[3], v)
+    for flat, cell, point in _entries(key, cells[3], groups, which, rank, nz) if tables else ():
         for table, w in zip(sums[1:], tables):
             w = w[cell]
-            for total, v in zip(table, values):
+            for total, v in zip(table.reshape(len(values), -1), values):
                 np.add.at(total, flat, w * v[point])
-    return mask, cells, cols, sums
+        del flat, cell, point, w
+    b, x, y = np.unravel_index(cols, rank.shape)
+    return mask, cells, (b * nx + x - pad) * ny + y - pad, sums[:, :, :-1]
 
 
 def _grid(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> VoxelGrid:
     """``voxelize``'s grid with no modes, else the one mode's ``expand``."""
-    mask, cells, cols, sums = _summed(cloud, spec, params, exponent_modes, cloud.rcs, cloud.v)
+    mask, cells, cols, sums = _summed([cloud], spec, [params], exponent_modes, 3, 4)
     nx, ny, nz = spec.cells
     dense = np.zeros((2, nx * ny, nz))
-    dense[:, cols] = sums[-1].reshape(2, len(cols), nz)
+    dense[:, cols] = sums[-1]
     rcs, vel = read_only(dense.reshape(2, *spec.cells))
     count = np.zeros(spec.cells, dtype=np.int64)
-    np.add.at(count, tuple(cells), 1)
+    np.add.at(count, tuple(cells[1:]), 1)
     return VoxelGrid(spec, rcs, vel, read_only(count), out_of_range=int(np.count_nonzero(~mask)))
 
 
@@ -286,22 +301,36 @@ def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANA
     return _grid(cloud, spec, params, (exponent_mode,))
 
 
+def residual_columns(clouds, spec: GridSpec, params, exponent_modes):
+    """Yield per cloud ``(cols, amps)``: its ``residual_bevs`` are ``amps[k]`` at
+    the flat (x, y) columns ``cols`` and 0.0 elsewhere. Consecutive clouds of at
+    most DEPOSIT_BATCH_POINTS points in all share one pass; a larger one is alone."""
+    nx, ny, _ = spec.cells
+    # A cloud counts as at least 1/16 of the bound: a pass holds at most 16 (nx, ny) rank slabs.
+    sizes = [max(len(c), DEPOSIT_BATCH_POINTS // 16) for c in clouds]
+    for lo, hi in bounded_runs(sizes, DEPOSIT_BATCH_POINTS):
+        _, _, cols, amps = _summed(clouds[lo:hi], spec, params[lo:hi], exponent_modes, 3)
+        # In place, the bits of raw + e (IEEE addition commutes); tables go before the next pass.
+        amps[1:] += amps[0]
+        amps = np.abs(amps, out=amps).sum(axis=3)[:, 0]
+        cuts = np.searchsorted(cols, np.arange(1, hi - lo) * (nx * ny))
+        yield from zip(np.split(cols % (nx * ny), cuts), np.split(amps, cuts, axis=1))
+
+
+def column_bevs(spec: GridSpec, cols: np.ndarray, amps: np.ndarray) -> list[np.ndarray]:
+    """The (nx, ny) maps that are ``amps[k]`` at the flat columns ``cols``, else 0.0."""
+    bevs = np.zeros((len(amps), spec.cells[0] * spec.cells[1]))
+    for bev, amp in zip(bevs, amps):
+        bev[cols] = amp
+    return list(bevs.reshape(-1, *spec.cells[:2]))
+
+
 def residual_bevs(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> list[np.ndarray]:
     """``bev_project`` of ``voxelize``, then of ``merge_residual`` with each
-    mode's ``expand``, bit for bit; ``params`` is unused with no modes. The raw
-    RCS is binned and one entry pass deposits every mode's, all into tables of
-    only the (x, y) columns the kernels can reach, so no dense grid is built.
-    """
-    _, _, cols, sums = _summed(cloud, spec, params, exponent_modes, cloud.rcs)
-    nx, ny, nz = spec.cells
-    raw, *expanded = (rcs.reshape(len(cols), nz) for (rcs,) in sums)
-    for e in expanded:
-        # In place, and the bits of raw + e: IEEE addition commutes.
-        e += raw
-    bevs = np.zeros((len(sums), nx * ny))
-    for bev, merged in zip(bevs, [raw, *expanded]):
-        bev[cols] = np.abs(merged, out=merged).sum(axis=1)
-    return list(bevs.reshape(-1, nx, ny))
+    mode's ``expand``, bit for bit, from ``residual_columns``, so no dense
+    grid is built; ``params`` is unused with no modes."""
+    ((cols, amps),) = residual_columns([cloud], spec, [params], exponent_modes)
+    return column_bevs(spec, cols, amps)
 
 
 def merge_residual(original: VoxelGrid, expanded: VoxelGrid) -> VoxelGrid:

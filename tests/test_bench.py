@@ -444,19 +444,27 @@ class TestSweepStream:
         assert pool.outstanding == 0
 
     def test_serial_stream_runs_a_task_only_when_asked(self, monkeypatch):
-        calls = []
-        original = bench._run_task
+        calls, scenes = [], []
+        original, generate = bench._run_task, bench.gen_scene
 
         def counted(*args):
             calls.append(args[3])
             return original(*args)
 
+        def generated(*args):
+            scenes.append(1)
+            return generate(*args)
+
         monkeypatch.setattr(bench, "_run_task", counted)
-        stream = run_sweep(tiny_config(replicates=3))
-        assert calls == []
+        monkeypatch.setattr(bench, "gen_scene", generated)
+        batch = bench.BATCH_TASKS
+        stream = run_sweep(tiny_config(replicates=batch + 2))
+        assert calls == [] and scenes == []
         next(stream)
-        assert calls == [0]
-        assert [rows[0].replicate for rows, _ in stream] == [1, 2]
+        # One task has run, and at most one batch of scenes exists.
+        assert calls == [0] and len(scenes) == batch
+        assert [rows[0].replicate for rows, _ in stream] == list(range(1, batch + 2))
+        assert len(scenes) == batch + 2
 
     def test_bad_weights_raise_before_any_task_runs(self, tmp_path):
         cfg = tiny_config(projector_weights=str(tmp_path / "no.json"))

@@ -3,16 +3,18 @@ oracle, direct binning against the unit-kernel deposit, the kernel-param
 arrays, batched kernels and batched projector against one-at-a-time
 oracles, one binning and one entry pass per cloud and one box mask per
 sweep task, the sweep's BEVs from the entries against the dense-grid
-pipeline, bounded Chamfer and BEV memory, and grid indexing of extreme or
-out-of-grid coordinates.
+pipeline, a pass over many clouds against each cloud alone, the windowed
+box mask against the full grid, bounded Chamfer and BEV memory, and grid
+indexing of extreme or out-of-grid coordinates.
 """
 
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcbench.bench as bench
@@ -33,12 +35,14 @@ from rcbench.bench import (
     scripted_scene,
 )
 from rcbench.core import (
+    BoxAnnotation,
     GridSpec,
     PointCloud,
     Rng,
     default_grid,
     derive64,
     float_bits,
+    in_box_footprint,
     voxel_indices,
 )
 from rcbench.corruption import CorruptionKind, apply_corruption
@@ -50,6 +54,7 @@ from rcbench.expansion import (
     ProjectorWeights,
     bev_project,
     build_kernel,
+    column_bevs,
     expand,
     heuristic_kernel_params,
     kernel_params,
@@ -57,6 +62,7 @@ from rcbench.expansion import (
     merge_residual,
     project_params,
     residual_bevs,
+    residual_columns,
     voxelize,
 )
 from test_bench import sweep_bevs, sweep_rows, write_projector_weights
@@ -353,36 +359,40 @@ class TestOneVoxelizationPerCloud:
         assert_sweep_matches_per_row(cfg, weights)
 
     def test_each_cloud_voxelized_once_and_chamfer_once_per_task(self, monkeypatch):
-        # The sweep bins a cloud with voxel_indices, once for all its pipelines.
+        # The sweep bins a cloud with voxel_indices, once for all its pipelines;
+        # a batch of clouds shares a call, so count the points binned.
         calls = {"voxel_indices": 0, "metric_chamfer": 0}
         for module, name in ((expansion, "voxel_indices"), (bench, "metric_chamfer")):
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+                calls[_name] += len(args[1]) if _name == "voxel_indices" else 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         cfg = multi_config()
         tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
-        sweep_rows(cfg)
-        assert calls == {"voxel_indices": 2 * tasks, "metric_chamfer": tasks}
+        rows = sweep_rows(cfg)
+        points = sum(r.points_in + r.points_out for r in rows if r.pipeline == "raw")
+        assert calls == {"voxel_indices": points, "metric_chamfer": tasks}
 
     @pytest.mark.parametrize("pipelines, passes", [(PIPELINES, 2), (("raw",), 0)])
     def test_one_entry_pass_per_cloud(self, monkeypatch, pipelines, passes):
         # The planar and isotropic deposits share one pass; raw sums are binned.
+        # A batch of clouds shares a pass, so count the clouds in each.
         calls = []
         original = expansion._entries
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
+        def counted(key, z, groups, which, rank, nz):
+            # rank has one (x, y) slab of columns per cloud of the pass.
+            calls.append(len(np.unique(key // rank[0].size)))
+            return original(key, z, groups, which, rank, nz)
 
         monkeypatch.setattr(expansion, "_entries", counted)
         cfg = multi_config(pipelines=pipelines)
         tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
         sweep_rows(cfg)
-        assert len(calls) == passes * tasks
+        assert sum(calls) == passes * tasks
 
     def test_voxelize_builds_no_kernel_and_no_entries(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -400,8 +410,8 @@ class TestOneVoxelizationPerCloud:
         tasks = sum(len(e.levels) for e in cfg.corruptions) * cfg.replicates
         sweep_rows(cfg)
         info = bench._planar_box_mask.cache_info()
-        # The early box check builds it; metric_snr, once per pipeline, reuses it.
-        assert (info.misses, info.hits) == (tasks, tasks * len(cfg.pipelines))
+        # metric_snr builds it for a task's first pipeline and reuses it for the rest.
+        assert (info.misses, info.hits) == (tasks, tasks * (len(cfg.pipelines) - 1))
 
     def test_box_mask_is_read_only_and_boxes_may_be_a_list(self):
         scene = gen_scene(SceneConfig(cluster_count=2), default_grid(), Rng(92))
@@ -424,6 +434,12 @@ def uniform_cloud(seed, n):
     gen = np.random.default_rng(seed)
     xyz = gen.uniform([-51.2, -51.2, -5.5], [51.2, 51.2, 3.5], size=(n, 3))
     return PointCloud(data=np.column_stack([xyz, gen.uniform(-5, 20, (n, 2))]))
+
+
+def all_bevs(cloud, spec, weights):
+    """Every pipeline's BEV of a cloud from one residual_bevs deposit."""
+    params = kernel_params_for_cloud(cloud, weights)
+    return dict(zip(PIPELINES, residual_bevs(cloud, spec, params, [PLANAR_XY, ISOTROPIC_3D])))
 
 
 def oracle_bevs(cloud, spec, weights):
@@ -453,7 +469,7 @@ class TestBevsFromEntries:
         spec = small_grid() if name in ("border", "outside") else default_grid()
         weights = learned_weights(96) if source == "learned" else None
         want = oracle_bevs(cloud, spec, weights)
-        got = bench._pipeline_bevs(cloud, spec, PIPELINES, weights)
+        got = all_bevs(cloud, spec, weights)
         assert got.keys() == want.keys()
         for pipeline, bev in got.items():
             assert bev.shape == spec.cells[:2] and bev.dtype == np.float64
@@ -470,9 +486,9 @@ class TestBevsFromEntries:
     @pytest.mark.parametrize("block", [1, 7, 64, 1000])
     def test_block_size_does_not_change_the_bevs(self, monkeypatch, block):
         cloud = border_cloud(97, n=150)
-        whole = bench._pipeline_bevs(cloud, small_grid(), PIPELINES, None)
+        whole = all_bevs(cloud, small_grid(), None)
         monkeypatch.setattr(expansion, "DEPOSIT_BLOCK_ENTRIES", block)
-        blocked = bench._pipeline_bevs(cloud, small_grid(), PIPELINES, None)
+        blocked = all_bevs(cloud, small_grid(), None)
         for pipeline in PIPELINES:
             assert blocked[pipeline].tobytes() == whole[pipeline].tobytes()
 
@@ -500,7 +516,7 @@ class TestBevsFromEntries:
         cloud = uniform_cloud(98, 100_000)
         tracemalloc.start()
         try:
-            bench._pipeline_bevs(cloud, default_grid(), PIPELINES, None)
+            all_bevs(cloud, default_grid(), None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -516,11 +532,128 @@ class TestBevsFromEntries:
         scene = scripted_scene(3)
         tracemalloc.start()
         try:
-            bench._pipeline_bevs(scene.cloud, default_grid(), PIPELINES, None)
+            all_bevs(scene.cloud, default_grid(), None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def batch_cloud(seed, n, kind):
+    """n points over small_grid() and past it, and kernel params of one kind."""
+    gen = np.random.default_rng(seed)
+    xyz = gen.uniform(-2.0, 10.0, (n, 3))
+    cloud = PointCloud(data=np.column_stack([xyz, gen.uniform(-5, 20, (n, 2))]))
+    params = {
+        "heuristic": lambda: heuristic_kernel_params(cloud),
+        "unit": lambda: kernel_params(np.ones(n, np.int64), 1.0 / 3.0),
+        "wide": lambda: kernel_params(np.full(n, 5), gen.uniform(0.2, 3.0, n)),
+        "mixed": lambda: mixed_params(seed, n),
+        "learned": lambda: project_params(cloud.rcs, cloud.v, learned_weights(seed)),
+    }[kind]()
+    return cloud, params
+
+
+BATCH_KINDS = ("heuristic", "unit", "wide", "mixed", "learned")
+
+
+class TestBatchedDeposit:
+    @given(
+        specs=st.lists(
+            st.tuples(st.integers(0, 2**16), st.integers(0, 40), st.sampled_from(BATCH_KINDS)),
+            min_size=1,
+            max_size=6,
+        ),
+        modes=st.sampled_from([(), (PLANAR_XY,), (ISOTROPIC_3D,), EXPONENT_MODES]),
+        bound=st.integers(0, 300),
+    )
+    @example(
+        specs=[(1, 30, "unit"), (2, 30, "wide"), (3, 0, "wide")], modes=EXPONENT_MODES, bound=300
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_pass_equals_each_cloud_alone_however_cut(self, specs, modes, bound):
+        # Empty clouds, points past the grid, unit kernels beside side-5 ones and
+        # learned params; the bound cuts the list from one cloud a pass to one pass.
+        clouds, params = zip(*(batch_cloud(*spec) for spec in specs))
+        alone = [residual_bevs(c, small_grid(), p, modes) for c, p in zip(clouds, params)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expansion, "DEPOSIT_BATCH_POINTS", bound)
+            columns = list(residual_columns(clouds, small_grid(), params, modes))
+        assert len(columns) == len(clouds)
+        for (cols, amps), want in zip(columns, alone):
+            assert amps.shape == (1 + len(modes), len(cols))
+            got = column_bevs(small_grid(), cols, amps)
+            assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+    def test_a_pass_holds_at_most_16_clouds_and_a_larger_cloud_alone(self, monkeypatch):
+        passes = []
+        original = expansion._summed
+
+        def counted(clouds, *args):
+            passes.append(len(clouds))
+            return original(clouds, *args)
+
+        monkeypatch.setattr(expansion, "_summed", counted)
+        bound = expansion.DEPOSIT_BATCH_POINTS
+        sizes = [0] * 20 + [bound + 1] + [bound // 2] * 3
+        clouds = [uniform_cloud(seed, n) for seed, n in enumerate(sizes)]
+        params = [heuristic_kernel_params(c) for c in clouds]
+        assert len(list(residual_columns(clouds, default_grid(), params, (PLANAR_XY,)))) == 24
+        assert passes == [16, 4, 1, 2, 1]
+
+    def test_peak_memory_of_a_full_pass(self):
+        # The most clouds one pass takes, each of 1/16 of the bound spread over
+        # the grid, with the widest kernels and both modes: 7.0 MiB measured
+        # (a 3k-point cloud alone peaks at about 3.8 MiB).
+        n = expansion.DEPOSIT_BATCH_POINTS // 16
+        clouds = [uniform_cloud(seed, n) for seed in range(16)]
+        params = [kernel_params(np.full(n, 5), 1.0)] * 16
+        tracemalloc.start()
+        try:
+            columns = list(residual_columns(clouds, default_grid(), params, EXPONENT_MODES))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == 16
+        assert peak < 8 * 2**20
+
+
+def full_box_mask(boxes, spec):
+    """Every grid cell center tested against every box."""
+    nx, ny, _ = spec.cells
+    csx, csy, _ = spec.cell_sizes
+    centers_x = spec.x_range[0] + (np.arange(nx) + 0.5) * csx
+    centers_y = spec.y_range[0] + (np.arange(ny) + 0.5) * csy
+    mask = np.zeros((nx, ny), dtype=bool)
+    for box in boxes:
+        mask |= in_box_footprint(centers_x[:, None], centers_y[None, :], box)
+    return mask
+
+
+side = st.one_of(st.floats(0.01, 40.0), st.floats(1e300, 1e308))
+boxes = st.builds(
+    BoxAnnotation,
+    center=st.tuples(st.floats(-70.0, 70.0), st.floats(-70.0, 70.0), st.floats(-5.0, 5.0)),
+    size=st.tuples(side, side, st.floats(0.1, 5.0)),
+    yaw=st.floats(-math.pi, math.pi),
+)
+
+
+class TestWindowedBoxMask:
+    # Boxes with any yaw, across the grid's edges, wholly off it, or huge.
+    @given(boxes=st.lists(boxes, min_size=1, max_size=3), small=st.booleans())
+    @example(boxes=[BoxAnnotation((100.0, 0.0, 0.0), (4.0, 4.0, 2.0), 0.3)], small=False)
+    @example(boxes=[BoxAnnotation((51.0, -51.0, 0.0), (4.0, 1.0, 2.0), -2.0)], small=False)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_full_grid_evaluation(self, boxes, small):
+        spec = small_grid() if small else default_grid()
+        want = full_box_mask(boxes, spec)
+        build = bench._planar_box_mask.__wrapped__
+        if not want.any():
+            with pytest.raises(ValueError, match="no grid cells fall inside the boxes"):
+                build(spec.cells[:2], tuple(boxes), spec)
+        else:
+            assert np.array_equal(build(spec.cells[:2], tuple(boxes), spec), want)
 
 
 class TestChamferBlocks:
