@@ -52,6 +52,7 @@ from .corruption import (
 # voxelize, expand, merge_residual and bev_project stay importable here, where
 # perfbench wraps the sweep's layers, though the sweep no longer calls them.
 from .expansion import (  # noqa: F401
+    DEPOSIT_BATCH_POINTS,
     ISOTROPIC_3D,
     PLANAR_XY,
     ProjectorWeights,
@@ -78,8 +79,17 @@ NOISE_RCS_RANGE = (0.5, 2.0)
 DOPPLER_RANGE = (-5.0, 5.0)
 # The grid every sweep runs on.
 SWEEP_GRID = default_grid()
-# Consecutive tasks whose clouds a serial sweep deposits together.
+# The most consecutive tasks in a sweep unit, whose clouds deposit together.
 BATCH_TASKS = 3
+# Tasks whose heatmaps may wait behind the one being written; then the
+# sweep waits, so memory stays bounded by a few tasks however slow the disk.
+HEATMAP_BACKLOG = 2
+# Raw file calls, not Path.write_bytes: fewer system calls, each of which
+# a writer thread must win the interpreter lock back after. O_BINARY keeps
+# Windows from translating newlines.
+PGM_OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+# The longest error text a sweep keeps, in a row or sent back by a pool worker.
+ERROR_CHARS = 160
 
 # Point pairs, or (query, bucket) lookups, that metric_chamfer takes at once,
 # about: 8192 pairs hold 192 KiB of coordinate differences.
@@ -691,12 +701,12 @@ class BenchRow:
 
 
 def _deposited(tasks) -> list:
-    """Per task ``(cfg, entry, level, replicate, weights, ...)`` of a sweep, its scene, its
+    """Per task ``(cfg, entry, level, replicate, weights)`` of a sweep, its scene, its
     corrupted cloud or the exception that stopped it, and one call's ``residual_columns``
     of both clouds."""
     modes = [PIPELINE_MODES[p] for p in tasks[0][0].pipelines if p != "raw"]
     done, clouds, params = [], [], []
-    for cfg, entry, level, replicate, weights, *_ in tasks:
+    for cfg, entry, level, replicate, weights in tasks:
         row_seed = derive64(cfg.master_seed, KIND_IDS[entry.kind], float_bits(level), replicate)
         scene = gen_scene(cfg.scene, SWEEP_GRID, Rng(row_seed))
         spec = entry.spec_for(level, seed=derive64(row_seed, 1))
@@ -713,6 +723,15 @@ def _deposited(tasks) -> list:
             for s, c in done]
 
 
+def _heatmap_names(cfg: SweepConfig, entry: SweepEntry, level: float, replicate: int, *_):
+    """A task's heatmap names: per pipeline, the processed map's, then the clean one's."""
+    return [
+        f"bev_{clean}{entry.kind.value}_l{level:g}_r{replicate}_{pipeline}"
+        for pipeline in cfg.pipelines
+        for clean in ("", "clean_")
+    ]
+
+
 def _run_task(
     cfg: SweepConfig,
     entry: SweepEntry,
@@ -720,10 +739,10 @@ def _run_task(
     replicate: int,
     weights: ProjectorWeights | None,
     want_heatmaps: bool,
-    prepared=None,
+    prepared,
 ):
-    """One task's rows and heatmaps, from its ``_deposited`` entry if given."""
-    scene, corrupted, columns = prepared or _deposited([(cfg, entry, level, replicate, weights)])[0]
+    """One task's rows and heatmaps' PGM bytes by name, from its ``_deposited`` entry."""
+    scene, corrupted, columns = prepared
     grid = SWEEP_GRID
     error: str | None = None
     try:
@@ -739,51 +758,105 @@ def _run_task(
         peaks = {p: metric_peak(clean[p], processed[p]) for p in cfg.pipelines}
         chamfer = metric_chamfer(scene.cloud, corrupted)
     except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"[:ERROR_CHARS]
 
-    rows = []
-    heatmaps: dict[str, bytes] = {}
-    for pipeline in cfg.pipelines:
-        base = dict(kind=entry.kind.value, level=level, replicate=replicate, pipeline=pipeline)
-        if error is not None:
-            rows.append(BenchRow(**base, error=error))
-            continue
-        consistent, l2 = peaks[pipeline]
-        rows.append(
-            BenchRow(
-                **base,
-                snr_before=snr_before,
-                snr_after=snr_after[pipeline],
-                peak_consistent=consistent,
-                peak_l2_cells=l2,
-                chamfer_m=chamfer,
-                points_in=len(scene.cloud),
-                points_out=len(corrupted),
-            )
-        )
-        if want_heatmaps:
-            tag = f"{entry.kind.value}_l{level:g}_r{replicate}_{pipeline}"
-            heatmaps[f"bev_{tag}"] = pgm_bytes(processed[pipeline])
-            heatmaps[f"bev_clean_{tag}"] = pgm_bytes(clean[pipeline])
-    return rows, heatmaps
+    base = dict(kind=entry.kind.value, level=level, replicate=replicate)
+    if error is not None:
+        return [BenchRow(**base, pipeline=p, error=error) for p in cfg.pipelines], {}
+    counts = dict(chamfer_m=chamfer, points_in=len(scene.cloud), points_out=len(corrupted))
+    rows = [
+        BenchRow(**base, pipeline=p, snr_before=snr_before, snr_after=snr_after[p],
+                 peak_consistent=peaks[p][0], peak_l2_cells=peaks[p][1], **counts)
+        for p in cfg.pipelines
+    ]
+    if not want_heatmaps:
+        return rows, {}
+    bevs = (bev[p] for p in cfg.pipelines for bev in (processed, clean))
+    heatmaps = zip(_heatmap_names(cfg, entry, level, replicate), bevs)
+    return rows, {name: pgm_bytes(bev) for name, bev in heatmaps}
+
+
+def _run_unit(unit, write=None):
+    """Each task's rows of ``unit``, a run of consecutive tasks whose clouds one
+    ``_deposited`` call deposits, as they are asked for. ``write``, if given,
+    takes each task's heatmaps before its rows are yielded."""
+    for task, prepared in zip(unit, _deposited(unit)):
+        rows, heatmaps = _run_task(*task, write is not None, prepared)
+        if heatmaps:
+            write(heatmaps)
+        yield rows
+
+
+def _write_heatmaps(heatmap_dir: Path, heatmaps: dict[str, bytes]) -> None:
+    for name, pgm in heatmaps.items():
+        fd = os.open(heatmap_dir / f"{name}.pgm", PGM_OPEN_FLAGS, 0o666)
+        try:
+            view = memoryview(pgm)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+
+
+def _inline(units, heatmap_dir):
+    """Each task's rows, unit by unit. One thread writes each task's heatmaps, in
+    task order, while the next tasks run; at most HEATMAP_BACKLOG tasks' wait
+    behind the one being written. A write's error stops the writes, and is raised
+    at the sweep's next task or at its end."""
+    if heatmap_dir is None:
+        for unit in units:
+            yield from _run_unit(unit)
+        return
+    import queue
+    import threading
+
+    backlog, errors = queue.Queue(HEATMAP_BACKLOG), []
+
+    def drain():
+        while (heatmaps := backlog.get()) is not None:
+            if not errors:  # after a failure, only drain, so put never blocks
+                try:
+                    _write_heatmaps(heatmap_dir, heatmaps)
+                except BaseException as exc:
+                    errors.append(exc)
+
+    def put(heatmaps):
+        if errors:
+            raise errors[0]
+        backlog.put(heatmaps)
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    try:
+        for unit in units:
+            yield from _run_unit(unit, put)
+    finally:
+        backlog.put(None)
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def run_sweep(
-    cfg: SweepConfig, jobs: int = 1, want_heatmaps: bool = False
-) -> Iterator[tuple[list[BenchRow], dict[str, bytes]]]:
+    cfg: SweepConfig, jobs: int = 1, heatmap_dir: Path | None = None
+) -> Iterator[list[BenchRow]]:
     """Run every (kind x level x replicate x pipeline) combination.
 
-    Yields each (kind, level, replicate) task's ``(rows, heatmaps)``, in
-    config-declaration order whatever the job count, with ``pgm_bytes``
-    heatmaps if asked. A failing combination yields error-marked rows; a bad
-    weights file, a scene with no cluster box to score, or given cluster
-    centers whose boxes hold no grid cell center, raises ``ConfigError``
-    from this call, before any task runs.
+    Yields each (kind, level, replicate) task's rows, in config-declaration
+    order whatever the job count. A failing combination yields error-marked
+    rows; a bad weights file, a scene with no cluster box to score, or given
+    cluster centers whose boxes hold no grid cell center, raises
+    ``ConfigError`` from this call, before any task runs. With a
+    ``heatmap_dir``, each yielded task's ``pgm_bytes`` heatmaps are there, as
+    ``<name>.pgm`` files, once the stream ends.
 
-    With 2 or more workers, tasks run on a process pool that later pooled
-    sweeps in this process reuse while they ask for the same worker count.
-    Its workers fork on its first task, so a change to a module made after
-    that does not reach them.
+    Tasks run in units of up to BATCH_TASKS consecutive tasks, fewer where the
+    configured clouds would overfill a deposit pass. A serial sweep runs them
+    as their tasks are asked for. With 2 or more workers, they run on a process
+    pool whose workers write their own heatmaps; later pooled sweeps in this
+    process reuse it while they ask for the same worker count. Its workers fork
+    on its first unit, so a change to a module made after that does not reach
+    them.
     """
     if cfg.scene.cluster_count == 0:
         raise ConfigError("scene.cluster_count must be at least 1: rows score the cluster boxes")
@@ -802,18 +875,21 @@ def run_sweep(
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load projector weights: {exc}") from exc
     tasks = [
-        (cfg, entry, level, replicate, weights, want_heatmaps)
+        (cfg, entry, level, replicate, weights)
         for entry in cfg.corruptions
         for level in entry.levels
         for replicate in range(cfg.replicates)
     ]
     # A pool starts its workers up front, so never ask for more than can run.
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        # Each batch is prepared and deposited when its first task is asked for.
-        batches = (tasks[lo : lo + BATCH_TASKS] for lo in range(0, len(tasks), BATCH_TASKS))
-        return (_run_task(*task, p) for b in batches for task, p in zip(b, _deposited(b)))
-    return _pooled(tasks, workers)
+    workers = max(1, min(jobs, len(tasks), os.cpu_count() or 1))
+    # Two clouds a task, each of the configured scene's points; a pool gets a unit per worker.
+    scene = cfg.scene
+    points = max(1, 2 * (scene.cluster_count * scene.points_per_cluster + scene.noise_points))
+    size = max(1, min(BATCH_TASKS, DEPOSIT_BATCH_POINTS // points, -(-len(tasks) // workers)))
+    units = [tasks[lo : lo + size] for lo in range(0, len(tasks), size)]
+    if workers == 1:
+        return _inline(units, heatmap_dir)
+    return _pooled(units, workers, heatmap_dir)
 
 
 # The pool that pooled sweeps in this process share, as (worker count,
@@ -844,25 +920,42 @@ def _shared_pool(workers: int, broken=None):
     return _pool[1], False
 
 
-def _pooled(tasks, workers: int):
+def _unit_result(unit, heatmap_dir):
+    """A pool worker's result for ``unit``: its tasks' rows, each task's heatmaps
+    written before the next task runs, and the exception that stopped it, or None.
+    With error texts cut to ERROR_CHARS, it pickles to less than PIPE_BUF bytes:
+    one pipe write, which a worker killed while it sends cannot leave half done."""
+    done = []
+    write = None if heatmap_dir is None else functools.partial(_write_heatmaps, heatmap_dir)
+    try:
+        for rows in _run_unit(unit, write):
+            done.append(rows)
+    except Exception as exc:
+        text = f"{type(exc).__name__}: {exc}"
+        return done, exc if len(text) <= ERROR_CHARS else RuntimeError(text[:ERROR_CHARS])
+    return done, None
+
+
+def _pooled(units, workers: int, heatmap_dir):
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
     # A worker of a reused pool can die (killed, out of memory) before or
     # during this sweep, and the pool may notice only after the sweep has
-    # submitted, or yielded. Such a sweep runs its tasks not yet yielded
+    # submitted, or yielded. Such a sweep runs its units not yet yielded
     # again, once, on a new pool.
     pool, retry = _shared_pool(workers)
-    # Executor.map submits every task at once, so finished results could pile
+    # Executor.map submits every unit at once, so finished results could pile
     # up behind a slow one; a window of 2 x workers futures bounds them. It
-    # holds the futures of tasks[done : done + len(window)].
-    window, done = deque(), 0
+    # holds the futures of units[done : done + len(window)].
+    window, done, yielded = deque(), 0, 0
     try:
-        while done < len(tasks):
+        while done < len(units):
             try:
-                while done + len(window) < len(tasks) and len(window) < 2 * workers:
-                    window.append(pool.submit(_run_task, *tasks[done + len(window)]))
-                result = window.popleft().result()
+                while done + len(window) < len(units) and len(window) < 2 * workers:
+                    unit = units[done + len(window)]
+                    window.append(pool.submit(_unit_result, unit, heatmap_dir))
+                rows, error = window.popleft().result()
             except BrokenProcessPool:
                 if not retry:
                     raise
@@ -871,14 +964,22 @@ def _pooled(tasks, workers: int):
                 retry = False
                 continue
             done += 1
-            yield result
+            for task_rows in rows:
+                yielded += 1
+                yield task_rows
+            if error is not None:
+                raise error
     finally:
-        # After an early close or a failed task, cancel the tasks not started
+        # After an early close or a failed unit, cancel the units not started
         # and wait for the running ones, so that none runs on the shared
-        # workers behind the next sweep's.
+        # workers behind the next sweep's, nor writes a heatmap after this.
         for future in window:
             future.cancel()
         wait(window)
+        if heatmap_dir is not None:
+            for task in [task for unit in units for task in unit][yielded:]:
+                for name in _heatmap_names(*task):
+                    (heatmap_dir / f"{name}.pgm").unlink(missing_ok=True)
 
 
 def _format_cell(value) -> str:

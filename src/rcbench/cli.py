@@ -7,7 +7,6 @@ failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from collections import Counter
@@ -48,133 +47,32 @@ KIND_ALIASES = {
 }
 
 
-# Tasks whose heatmaps may wait behind the one being written; then the
-# sweep waits, so memory stays bounded by a few tasks however slow the disk.
-HEATMAP_BACKLOG = 2
-# Raw file calls, not Path.write_bytes: fewer system calls, each of which
-# a writer thread must win the interpreter lock back after. O_BINARY keeps
-# Windows from translating newlines.
-PGM_OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
-
-
-def _write_heatmaps(heatmap_dir: Path, heatmaps: dict[str, bytes]) -> None:
-    for name, pgm in heatmaps.items():
-        fd = os.open(heatmap_dir / f"{name}.pgm", PGM_OPEN_FLAGS, 0o666)
-        try:
-            view = memoryview(pgm)
-            while view:
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
-
-
-def _current_cpu() -> int:
-    import ctypes
-
-    sched_getcpu = ctypes.CDLL(None).sched_getcpu
-    sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
-    return sched_getcpu()
-
-
-def _other_cpus() -> set[int]:
-    """The CPUs this process may run on, less the calling thread's; empty
-    when only one is allowed or the platform cannot tell."""
-    if not hasattr(os, "sched_getaffinity"):
-        return set()
-    allowed = os.sched_getaffinity(0)
-    return allowed - {_current_cpu()} if len(allowed) > 1 else set()
-
-
-class _HeatmapWriter:
-    """Writes each task's heatmaps in task order, from one thread that runs
-    on ``cpus``, so that creating the files overlaps the next tasks.
-
-    The thread leaves the caller's CPU itself: where a cpuset does not
-    balance load, a new thread stays on its creator's CPU and would only
-    take turns with the sweep. With no ``cpus`` the writes run inline. A
-    write's error is raised again by the next ``put`` or by ``close``.
-    """
-
-    def __init__(self, heatmap_dir: Path, cpus) -> None:
-        self.heatmap_dir = heatmap_dir
-        self.cpus = cpus
-        self.error = None
-        self.thread = None
-
-    def _drain(self) -> None:
-        try:
-            # This thread only: pool workers forked by the caller keep its mask.
-            os.sched_setaffinity(0, self.cpus)
-        except OSError:
-            pass  # those CPUs were taken away since; write from where it runs
-        while (heatmaps := self.backlog.get()) is not None:
-            if self.error is None:  # after a failure, only drain, so put never blocks
-                try:
-                    _write_heatmaps(self.heatmap_dir, heatmaps)
-                except BaseException as exc:
-                    self.error = exc
-
-    def put(self, heatmaps: dict[str, bytes]) -> None:
-        if not self.cpus:
-            _write_heatmaps(self.heatmap_dir, heatmaps)
-            return
-        if self.thread is None:
-            # Started with the first task's heatmaps, after a new pool has
-            # forked its workers, so that they fork from fewer threads.
-            import queue
-            import threading
-
-            self.backlog = queue.Queue(HEATMAP_BACKLOG)
-            self.thread = threading.Thread(target=self._drain, daemon=True)
-            self.thread.start()
-        if self.error is not None:
-            raise self.error
-        self.backlog.put(heatmaps)
-
-    def join(self) -> None:
-        """Stop the thread once the heatmaps handed to it are written."""
-        if self.thread is not None:
-            self.backlog.put(None)
-            self.thread.join()
-            self.thread = None
-
-    def close(self) -> None:
-        """Join, then raise the first write's error, if any."""
-        self.join()
-        if self.error is not None:
-            raise self.error
-
-
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_sweep_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    heatmap_dir = out_dir / "heatmaps"
-    if args.emit_heatmaps:
+    heatmap_dir = out_dir / "heatmaps" if args.emit_heatmaps else None
+    if heatmap_dir is not None:
         heatmap_dir.mkdir(exist_ok=True)
     started = time.perf_counter()
-    tasks = run_sweep(cfg, jobs=args.jobs, want_heatmaps=args.emit_heatmaps)
+    tasks = run_sweep(cfg, jobs=args.jobs, heatmap_dir=heatmap_dir)
     # Heatmaps land as tasks arrive: a run that fails partway keeps no older report.
     report = out_dir / "report.csv"
     report.unlink(missing_ok=True)
     rows_by_error: Counter = Counter()
-    writer = _HeatmapWriter(heatmap_dir, _other_cpus() if args.emit_heatmaps else ())
 
     def rows():
-        # Each task's heatmaps and rows leave as it arrives; none are kept.
-        for task_rows, heatmaps in tasks:
-            writer.put(heatmaps)
+        for task_rows in tasks:
             rows_by_error.update(row.error for row in task_rows)
             yield from task_rows
-        # Every heatmap file is closed before the report is renamed into place.
-        writer.close()
 
     try:
+        # The stream ends once every heatmap file is closed, before the report is renamed.
         write_report_csv(rows(), report)
     finally:
-        writer.join()
+        tasks.close()
     elapsed = time.perf_counter() - started
     good = rows_by_error.pop(None, 0)
     errors = sum(rows_by_error.values())

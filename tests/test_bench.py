@@ -1,6 +1,5 @@
 """Harness tests: scene generation, metrics, sweeps, CLI round trips."""
 
-import functools
 import hashlib
 import itertools
 import json
@@ -10,8 +9,9 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -234,44 +234,43 @@ def tiny_config(**overrides):
 
 def sweep_rows(cfg, **kwargs):
     """Every row of a run_sweep stream, in task order."""
-    return [row for rows, _ in run_sweep(cfg, **kwargs) for row in rows]
+    return [row for rows in run_sweep(cfg, **kwargs) for row in rows]
+
+
+def heatmap_files(heatmap_dir):
+    """The heatmaps in heatmap_dir, as PGM bytes by name."""
+    return {p.stem: p.read_bytes() for p in sorted(Path(heatmap_dir).iterdir())}
+
+
+WRITE_HEATMAPS = bench._write_heatmaps
 
 
 def sweep_bevs(cfg):
     """A serial run_sweep's rows, and by heatmap name the float64 BEV that
-    was passed to pgm_bytes for it; each heatmap must be that BEV's PGM."""
-    captured = []
+    was passed to pgm_bytes for it; each heatmap file must be that BEV's PGM."""
+    captured, names = [], []
 
     def capture(bev):
         captured.append(bev)
         return pgm_bytes(bev)
 
-    rows, names = [], []
-    with pytest.MonkeyPatch.context() as mp:
+    def record(heatmap_dir, heatmaps):
+        names.extend(heatmaps)
+        WRITE_HEATMAPS(heatmap_dir, heatmaps)
+
+    with tempfile.TemporaryDirectory() as maps, pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench, "pgm_bytes", capture)
-        for task_rows, task_maps in run_sweep(cfg, want_heatmaps=True):
-            rows += task_rows
-            for name, pgm in task_maps.items():
-                assert pgm == pgm_bytes(captured[len(names)]), name
-                names.append(name)
-    assert len(captured) == len(names)
+        mp.setattr(bench, "_write_heatmaps", record)
+        rows = sweep_rows(cfg, heatmap_dir=Path(maps))
+        files = heatmap_files(maps)
+    assert len(captured) == len(names) == len(files)
+    for name, bev in zip(names, captured):
+        assert files[name] == pgm_bytes(bev), name
     return rows, dict(zip(names, captured))
 
 
 def float_bytes(bev):
     return np.asarray(bev, dtype=np.float64).tobytes()
-
-
-@pytest.fixture
-def forked_pool(monkeypatch, fresh_pool):
-    """Make run_sweep's pool fork its workers, so they see this test's
-    monkeypatches. Fork is not the default start method everywhere (Python
-    3.14 starts Linux workers from a forkserver), and a spawned worker
-    would import the unpatched module."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("needs the fork start method")
-    forked = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", forked)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -293,7 +292,7 @@ class TestRunSweep:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_report_csv(sweep_rows(cfg), p1)
         # The writer takes any iterable of rows, so a stream too.
-        write_report_csv((r for rows, _ in run_sweep(cfg) for r in rows), p2)
+        write_report_csv((r for rows in run_sweep(cfg) for r in rows), p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
@@ -315,33 +314,37 @@ class TestRunSweep:
         lines = path.read_text().splitlines()
         assert "ERROR" in lines[1]
 
-    def test_heatmaps_collected_on_request(self):
-        assert all(not maps for _, maps in run_sweep(tiny_config()))
-        ((_, maps),) = run_sweep(tiny_config(), want_heatmaps=True)
+    def test_heatmaps_collected_on_request(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(bench, "pgm_bytes", None)  # no heatmap is encoded unless asked for
+            assert len(sweep_rows(tiny_config())) == 2
+        assert sweep_rows(tiny_config(), heatmap_dir=tmp_path) == sweep_rows(tiny_config())
+        maps = heatmap_files(tmp_path)
         rows, bevs = sweep_bevs(tiny_config())
         assert len(rows) == 2
-        assert list(bevs) == list(maps) and len(maps) == 4  # processed + clean per row
+        # Processed, then clean, per row, in the order they were written.
+        tags = [f"SpuriousPoints_l5_r0_{p}" for p in ("raw", "3dge_planar")]
+        assert list(bevs) == [f"bev_{c}{tag}" for tag in tags for c in ("", "clean_")]
+        assert sorted(bevs) == list(maps)
         for name, bev in bevs.items():
             assert bev.shape == (128, 128) and bev.dtype == np.float64
             assert maps[name] == pgm_bytes(bev)
             assert maps[name].startswith(b"P5\n128 128\n255\n")
 
-    def test_parallel_matches_serial(self, monkeypatch, forked_pool):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch, forked_pool):
         cfg = tiny_config(replicates=2)
-        # The forked workers return the float64 BEVs' bytes too.
+        # The forked workers write the float64 BEVs' bytes too.
         monkeypatch.setattr(bench, "pgm_bytes", float_bytes)
-        serial = list(run_sweep(cfg, jobs=1, want_heatmaps=True))
-        parallel = list(run_sweep(cfg, jobs=2, want_heatmaps=True))
-        rows_serial = [r for rows, _ in serial for r in rows]
-        rows_parallel = [r for rows, _ in parallel for r in rows]
+        (tmp_path / "1").mkdir()
+        (tmp_path / "2").mkdir()
+        rows_serial = sweep_rows(cfg, jobs=1, heatmap_dir=tmp_path / "1")
+        rows_parallel = sweep_rows(cfg, jobs=2, heatmap_dir=tmp_path / "2")
         assert rows_serial == rows_parallel
-        maps_s = [maps for _, maps in serial]
-        maps_p = [maps for _, maps in parallel]
-        assert [list(m) for m in maps_s] == [list(m) for m in maps_p]
+        maps_s, maps_p = heatmap_files(tmp_path / "1"), heatmap_files(tmp_path / "2")
+        assert len(maps_s) == 2 * 2 * 2
         assert maps_s == maps_p
-        for maps in maps_s:
-            for key, raw in maps.items():
-                assert len(raw) == 128 * 128 * 8, key
+        for key, raw in maps_s.items():
+            assert len(raw) == 128 * 128 * 8, key
 
     @pytest.mark.parametrize(
         "jobs, replicates, cpus, want",
@@ -380,7 +383,7 @@ class TestRunSweep:
 
 
 class ReversePool:
-    """A fake pool whose submitted tasks all finish, newest first, when any
+    """A fake pool whose submitted units all finish, newest first, when any
     result is read; it counts futures submitted but not yet read."""
 
     def __init__(self, max_workers):
@@ -409,7 +412,7 @@ class ReverseFuture:
         while self.pool.unfinished:
             future = self.pool.unfinished.pop()
             future.value = future.fn(*future.args)
-            self.pool.finished.append(future.args[3])  # the replicate
+            self.pool.finished.append(future.args[0][0][3])  # the unit's first replicate
         self.pool.outstanding -= 1
         return self.value
 
@@ -434,12 +437,14 @@ class TestSweepStream:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", make_pool)
         monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
-        cfg = tiny_config(replicates=9)
-        replicates = [rows[0].replicate for rows, _ in run_sweep(cfg, jobs=2)]
+        # Six units of BATCH_TASKS = 3 tasks, so that the window fills.
+        cfg = tiny_config(replicates=18)
+        replicates = [rows[0].replicate for rows in run_sweep(cfg, jobs=2)]
         (pool,) = pools
-        assert replicates == list(range(9))
-        assert sorted(pool.finished) == replicates and pool.finished != replicates
-        assert pool.finished[:4] == [3, 2, 1, 0]
+        assert replicates == list(range(18))
+        firsts = replicates[:: bench.BATCH_TASKS]
+        assert sorted(pool.finished) == firsts and pool.finished != firsts
+        assert pool.finished[:4] == [9, 6, 3, 0]
         assert pool.most_outstanding == 2 * pool.workers == 4
         assert pool.outstanding == 0
 
@@ -463,7 +468,7 @@ class TestSweepStream:
         next(stream)
         # One task has run, and at most one batch of scenes exists.
         assert calls == [0] and len(scenes) == batch
-        assert [rows[0].replicate for rows, _ in stream] == list(range(1, batch + 2))
+        assert [rows[0].replicate for rows in stream] == list(range(1, batch + 2))
         assert len(scenes) == batch + 2
 
     def test_bad_weights_raise_before_any_task_runs(self, tmp_path):
@@ -488,24 +493,22 @@ def logged_task(*args):
     return result
 
 
-def stream_bytes(stream, path):
+def new_dir(tmp_path):
+    return Path(tempfile.mkdtemp(dir=tmp_path))
+
+
+def stream_bytes(stream, path, heatmap_dir):
     """The report.csv bytes of a run_sweep stream's rows, written to path,
-    and its PGM heatmaps by name."""
-    maps = {}
-
-    def rows():
-        for task_rows, task_maps in stream:
-            maps.update(task_maps)
-            yield from task_rows
-
-    write_report_csv(rows(), path)
-    return path.read_bytes(), maps
+    and the PGM heatmaps by name that it wrote to heatmap_dir."""
+    write_report_csv((row for rows in stream for row in rows), path)
+    return path.read_bytes(), heatmap_files(heatmap_dir)
 
 
 def sweep_bytes(cfg, jobs, tmp_path):
     """A sweep's report.csv bytes and its PGM heatmaps by name."""
-    stream = run_sweep(cfg, jobs=jobs, want_heatmaps=True)
-    return stream_bytes(stream, tmp_path / f"report-{jobs}.csv")
+    maps = new_dir(tmp_path)
+    stream = run_sweep(cfg, jobs=jobs, heatmap_dir=maps)
+    return stream_bytes(stream, tmp_path / f"report-{jobs}.csv", maps)
 
 
 def exit_on_third_replicate(*args):
@@ -612,16 +615,17 @@ class TestSharedPool:
         monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
         list(run_sweep(tiny_config(replicates=2), jobs=2))
         old = multiprocessing.active_children()
-        stream = run_sweep(cfg, jobs=2, want_heatmaps=True)
+        maps = new_dir(tmp_path)
+        stream = run_sweep(cfg, jobs=2, heatmap_dir=maps)
         first = next(stream)
-        # Kill the worker inside a task: one killed while it sends a result
-        # can leave concurrent.futures waiting for the rest of it.
+        # Kill the worker inside a task.
         deadline = time.monotonic() + 60
         while not (TASK_LOG.exists() and TASK_LOG.read_text()) and time.monotonic() < deadline:
             time.sleep(0.01)
         os.kill(int(TASK_LOG.read_text()), signal.SIGKILL)
         assert still_running(old) == []
-        assert stream_bytes(itertools.chain([first], stream), tmp_path / "killed.csv") == serial
+        killed = stream_bytes(itertools.chain([first], stream), tmp_path / "killed.csv", maps)
+        assert killed == serial
 
     @pytest.mark.parametrize("reused", [False, True])
     def test_a_pool_that_keeps_breaking_raises(self, tmp_path, monkeypatch, forked_pool, reused):
@@ -641,17 +645,19 @@ class TestSharedPool:
         monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 3)
         two = tiny_config(replicates=8, master_seed=3)
         three = tiny_config(replicates=6, master_seed=4)
+        dirs = new_dir(tmp_path), new_dir(tmp_path)
         streams = (
-            run_sweep(two, jobs=2, want_heatmaps=True),
-            run_sweep(three, jobs=3, want_heatmaps=True),
+            run_sweep(two, jobs=2, heatmap_dir=dirs[0]),
+            run_sweep(three, jobs=3, heatmap_dir=dirs[1]),
         )
         got = ([], [])
         for pair in itertools.zip_longest(*streams):
             for items, item in zip(got, pair):
                 if item is not None:
                     items.append(item)
-        for name, cfg, items in zip(("two", "three"), (two, three), got):
-            assert stream_bytes(items, tmp_path / f"{name}.csv") == sweep_bytes(cfg, 1, tmp_path)
+        for name, cfg, items, maps in zip(("two", "three"), (two, three), got, dirs):
+            interleaved = stream_bytes(items, tmp_path / f"{name}.csv", maps)
+            assert interleaved == sweep_bytes(cfg, 1, tmp_path)
         assert len(multiprocessing.active_children()) == 3
 
     def test_a_closed_sweep_leaves_no_task_behind(self, tmp_path, monkeypatch, forked_pool):
@@ -816,7 +822,7 @@ class TestSweepConfigJson:
 
         def planar_snrs(payload):
             cfg = sweep_config_from_json_dict({**payload, "replicates": 1})
-            rows = [row for task_rows, _ in run_sweep(cfg) for row in task_rows]
+            rows = [row for task_rows in run_sweep(cfg) for row in task_rows]
             return [(r.snr_before, r.snr_after) for r in rows if r.pipeline == "3dge_planar"]
 
         learned = planar_snrs({"projector_weights": str(path)})

@@ -1,7 +1,7 @@
-"""The heatmap writer of `bench run --emit-heatmaps`: one thread, off the
-caller's CPU, writes each task's files in task order behind a bounded
-backlog and hands its errors back to the caller; with one CPU the writes
-stay inline."""
+"""The heatmap writes of `bench run --emit-heatmaps`. A serial sweep's one
+writer thread writes each task's files in task order behind a bounded
+backlog and hands its errors back to the sweep; pool workers write their
+own, and the report contract holds either way."""
 
 import json
 import os
@@ -11,16 +11,17 @@ import time
 
 import pytest
 
-import rcbench.cli as cli
-from rcbench.cli import HEATMAP_BACKLOG, main
+import rcbench.bench as bench
+from rcbench.bench import HEATMAP_BACKLOG
+from rcbench.cli import main
 
 PAYLOAD = {
     "corruptions": [{"kind": "PointShifting", "levels": [5]}],
     "pipelines": ["raw"],
     "replicates": 8,
 }
-WRITE = cli._write_heatmaps
-CURRENT_CPU = cli._current_cpu
+WRITE = bench._write_heatmaps
+RUN_TASK = bench._run_task
 ALLOWED = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
 needs_two_cpus = pytest.mark.skipif(len(ALLOWED) < 2, reason="needs two allowed CPUs")
 
@@ -48,21 +49,23 @@ def one_cpu(monkeypatch):
 @pytest.mark.parametrize("cpus", ["all", "one"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_failed_write_keeps_the_report_contract(
-    tmp_path, monkeypatch, capsys, fresh_pool, jobs, cpus, failing
+    tmp_path, monkeypatch, capsys, forked_pool, jobs, cpus, failing
 ):
-    # The shared pool's own thread outlives a sweep, so start it first.
+    heatmap_dir = tmp_path / "out" / "heatmaps"
+
+    def fail_one_task(where, heatmaps):
+        # By name, not by a count of calls: pool workers each count their own.
+        if where == heatmap_dir and f"_r{failing - 1}_" in next(iter(heatmaps)):
+            raise OSError(28, "No space left on device")
+        WRITE(where, heatmaps)
+
+    monkeypatch.setattr(bench, "_write_heatmaps", fail_one_task)
+    # The shared pool's own thread outlives a sweep, so start it first; its
+    # workers fork now, with the failing write in place.
     assert run(tmp_path / "warm-up", "--jobs", jobs)[0] == 0
     if cpus == "one":
+        # No code reads the mask now; the contract must hold under one all the same.
         one_cpu(monkeypatch)
-    calls = []
-
-    def fail_one_task(heatmap_dir, heatmaps):
-        calls.append(heatmaps)
-        if len(calls) == failing:
-            raise OSError(28, "No space left on device")
-        WRITE(heatmap_dir, heatmaps)
-
-    monkeypatch.setattr(cli, "_write_heatmaps", fail_one_task)
     threads = threading.active_count()
     capsys.readouterr()
     code, out_dir = run(tmp_path, "--jobs", jobs)
@@ -81,7 +84,7 @@ def test_writes_keep_task_order_under_fast_thread_switching(tmp_path, monkeypatc
         written.extend(heatmaps)
         WRITE(heatmap_dir, heatmaps)
 
-    monkeypatch.setattr(cli, "_write_heatmaps", record)
+    monkeypatch.setattr(bench, "_write_heatmaps", record)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -101,65 +104,18 @@ def test_the_callers_cpu_mask_is_unchanged(tmp_path):
 
 
 @needs_two_cpus
-def test_the_writer_runs_off_the_callers_cpu(tmp_path, monkeypatch):
-    seen = {}
-
-    def caller_cpu():
-        seen["caller"] = (threading.get_ident(), os.sched_getaffinity(0), CURRENT_CPU())
-        return seen["caller"][2]
-
-    def record_writer(heatmap_dir, heatmaps):
-        seen.setdefault("writer", (threading.get_ident(), os.sched_getaffinity(0)))
-        WRITE(heatmap_dir, heatmaps)
-
-    monkeypatch.setattr(cli, "_current_cpu", caller_cpu)
-    monkeypatch.setattr(cli, "_write_heatmaps", record_writer)
-    assert run(tmp_path)[0] == 0
-    caller, caller_mask, cpu = seen["caller"]
-    writer, writer_mask = seen["writer"]
-    assert caller == threading.get_ident() and writer != caller
-    assert caller_mask == ALLOWED
-    assert cpu in ALLOWED and writer_mask == ALLOWED - {cpu}
-
-
-@pytest.mark.parametrize("platform", ["one-cpu", "no-affinity"])
-def test_without_a_second_cpu_no_thread_starts(tmp_path, monkeypatch, platform):
-    if platform == "one-cpu":
-        one_cpu(monkeypatch)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    started, writers = [], set()
-    start = threading.Thread.start
-
-    def record_start(thread):
-        started.append(thread)
-        start(thread)
-
-    def record_writer(heatmap_dir, heatmaps):
-        writers.add(threading.get_ident())
-        WRITE(heatmap_dir, heatmaps)
-
-    monkeypatch.setattr(threading.Thread, "start", record_start)
-    monkeypatch.setattr(cli, "_write_heatmaps", record_writer)
-    code, out_dir = run(tmp_path)
-    assert code == 0
-    assert started == [] and writers == {threading.get_ident()}
-    assert sorted(os.listdir(out_dir / "heatmaps")) == heatmap_names(range(8))
-
-
-@needs_two_cpus
 def test_a_stalled_writer_holds_the_sweep_three_tasks_ahead(tmp_path, monkeypatch):
-    yielded, written, ahead = [0], [0], []
+    # Tasks made, counted once each has its heatmaps in hand.
+    made, written, ahead = [0], [0], []
     full = threading.Event()
-    sweep = cli.run_sweep
 
-    def counting_sweep(*args, **kwargs):
-        for task in sweep(*args, **kwargs):
-            yielded[0] += 1
-            ahead.append(yielded[0] - written[0])
-            if yielded[0] == HEATMAP_BACKLOG + 2:
-                full.set()
-            yield task
+    def counting_task(*args):
+        task = RUN_TASK(*args)
+        made[0] += 1
+        ahead.append(made[0] - written[0])
+        if made[0] == HEATMAP_BACKLOG + 2:
+            full.set()
+        return task
 
     stalled = []
 
@@ -168,15 +124,15 @@ def test_a_stalled_writer_holds_the_sweep_three_tasks_ahead(tmp_path, monkeypatc
             assert full.wait(timeout=30)
             # Room for a sweep that nothing holds back to run on.
             time.sleep(0.2)
-            stalled.append(yielded[0])
+            stalled.append(made[0])
         WRITE(heatmap_dir, heatmaps)
         written[0] += 1
 
-    monkeypatch.setattr(cli, "run_sweep", counting_sweep)
-    monkeypatch.setattr(cli, "_write_heatmaps", stall_first_write)
+    monkeypatch.setattr(bench, "_run_task", counting_task)
+    monkeypatch.setattr(bench, "_write_heatmaps", stall_first_write)
     code, out_dir = run(tmp_path)
     assert code == 0
-    # One task being written, two waiting, one in the caller's hands.
+    # One task being written, two waiting, one waiting to be handed over.
     assert stalled == [4]
     assert max(ahead) == 4
     assert sorted(os.listdir(out_dir / "heatmaps")) == heatmap_names(range(8))
