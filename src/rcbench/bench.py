@@ -33,7 +33,6 @@ from .core import (
     float_bits,
     in_box_footprint,
     is_int,
-    is_real,
     read_only,
     write_csv,
 )
@@ -62,7 +61,6 @@ from .expansion import (  # noqa: F401
     kernel_params_for_cloud,
     load_projector_weights,
     merge_residual,
-    residual_bevs,
     residual_columns,
     voxelize,
 )
@@ -142,12 +140,6 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent sweep configuration."""
 
 
-def _reals(values, n: int, name: str) -> tuple[float, ...]:
-    if len(values) != n or not all(is_real(v) for v in values):
-        raise ConfigError(f"{name} must be {n} finite numbers, got {values!r}")
-    return tuple(float(v) for v in values)
-
-
 @dataclass(frozen=True)
 class SceneConfig:
     """Synthetic scene recipe: dense annotated clusters plus sparse clutter."""
@@ -155,17 +147,11 @@ class SceneConfig:
     cluster_count: int = 1
     points_per_cluster: int = 30
     noise_points: int = 50
-    cluster_centers: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("cluster_count", "points_per_cluster", "noise_points"):
             if not is_int(getattr(self, name)) or getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be a non-negative integer")
-        if self.cluster_centers is not None:
-            centers = tuple(_reals(c, 3, "a cluster center") for c in self.cluster_centers)
-            if len(centers) != self.cluster_count:
-                raise ConfigError("cluster_centers length must equal cluster_count")
-            object.__setattr__(self, "cluster_centers", centers)
 
 
 @dataclass(frozen=True)
@@ -209,11 +195,12 @@ class SweepConfig:
     projector_weights: str | None = None
     replicates: int = 10
     master_seed: int = 0
-    total_beams: int = DEFAULT_BEAM_COUNT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "corruptions", tuple(self.corruptions))
         object.__setattr__(self, "pipelines", tuple(self.pipelines))
+        if self.scene.cluster_count == 0:
+            raise ConfigError("scene.cluster_count must be at least 1: rows score the cluster boxes")
         if not self.corruptions:
             raise ConfigError("at least one corruption entry is required")
         if not self.pipelines:
@@ -229,8 +216,6 @@ class SweepConfig:
             raise ConfigError("projector_weights must be a non-empty path or null")
         if not is_int(self.replicates) or self.replicates < 1:
             raise ConfigError("replicates must be a positive integer")
-        if not is_int(self.total_beams) or self.total_beams < 1:
-            raise ConfigError("total_beams must be a positive integer")
         if not is_int(self.master_seed) or not 0 <= self.master_seed < 1 << 64:
             raise ConfigError("master_seed must be an integer in [0, 2**64)")
         # Count bounds that hold whatever the scene; n // 2 is checked per row.
@@ -238,7 +223,7 @@ class SweepConfig:
             for entry in self.corruptions:
                 if entry.kind not in SIGMA_KINDS:
                     for level in entry.levels:
-                        check_count(entry.kind, int(level), entry.gamma, self.total_beams)
+                        check_count(entry.kind, int(level), entry.gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # Heatmap names carry the level as {level:g}, so two levels that
@@ -325,26 +310,23 @@ def load_sweep_config(path) -> SweepConfig:
     return sweep_config_from_json_dict(payload)
 
 
-def _cluster_box(center) -> BoxAnnotation:
-    """A cluster's box: twice CLUSTER_RADIUS_M across, BOX_HEIGHT_M tall."""
-    side = 2.0 * CLUSTER_RADIUS_M
-    return BoxAnnotation(center=center, size=(side, side, BOX_HEIGHT_M), yaw=0.0)
-
-
-def gen_scene(cfg: SceneConfig, grid: GridSpec, rng: Rng) -> Scene:
+def gen_scene(cfg: SceneConfig, grid: GridSpec, rng: Rng, centers=None) -> Scene:
     """Deterministic synthetic scene: annotated clusters plus clutter.
 
     Cluster points are uniform over a planar disc at the cluster center;
     each cluster gets a box annotation twice the cluster radius in planar
-    extent. Clutter points are uniform over the whole grid volume.
+    extent. Clutter points are uniform over the whole grid volume. Cluster
+    centers are drawn a cluster radius inside the grid, unless ``centers``
+    gives one ``(x, y, z)`` per cluster.
     """
     gen = rng.generator()
     rows = []
     boxes = []
     (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = grid.ranges
+    side = 2.0 * CLUSTER_RADIUS_M
     for ci in range(cfg.cluster_count):
-        if cfg.cluster_centers is not None:
-            cx, cy, cz = cfg.cluster_centers[ci]
+        if centers is not None:
+            cx, cy, cz = centers[ci]
         else:
             margin = CLUSTER_RADIUS_M
             cx = float(gen.uniform(x_lo + margin, x_hi - margin))
@@ -363,7 +345,7 @@ def gen_scene(cfg: SceneConfig, grid: GridSpec, rng: Rng) -> Scene:
             ]
         )
         rows.append(cluster)
-        boxes.append(_cluster_box((cx, cy, cz)))
+        boxes.append(BoxAnnotation(center=(cx, cy, cz), size=(side, side, BOX_HEIGHT_M), yaw=0.0))
     m = cfg.noise_points
     if m:
         rows.append(
@@ -384,8 +366,7 @@ def gen_scene(cfg: SceneConfig, grid: GridSpec, rng: Rng) -> Scene:
 
 def scripted_scene(seed: int) -> Scene:
     """The canonical single-cluster benchmark scene on the default grid."""
-    cfg = SceneConfig(cluster_centers=((10.0, 5.0, 0.0),))
-    return gen_scene(cfg, default_grid(), Rng(seed))
+    return gen_scene(SceneConfig(), default_grid(), Rng(seed), centers=((10.0, 5.0, 0.0),))
 
 
 def pipeline_bev(
@@ -399,7 +380,8 @@ def pipeline_bev(
         raise ValueError(f"unknown pipeline {pipeline!r}")
     modes = [PIPELINE_MODES[pipeline]] if pipeline in PIPELINE_MODES else []
     params = kernel_params_for_cloud(cloud, weights) if modes else None
-    return residual_bevs(cloud, grid, params, modes)[-1]
+    ((cols, amps),) = residual_columns([cloud], grid, [params], modes)
+    return column_bevs(grid, cols, amps)[-1]
 
 
 @functools.lru_cache(maxsize=1)
@@ -711,8 +693,8 @@ def _deposited(tasks) -> list:
         scene = gen_scene(cfg.scene, SWEEP_GRID, Rng(row_seed))
         spec = entry.spec_for(level, seed=derive64(row_seed, 1))
         try:
-            pair = [apply_corruption(scene.cloud, spec, boxes=scene.boxes, bounds=SWEEP_GRID,
-                                     total_beams=cfg.total_beams), scene.cloud]
+            pair = [apply_corruption(scene.cloud, spec, boxes=scene.boxes, bounds=SWEEP_GRID),
+                    scene.cloud]
             params += [kernel_params_for_cloud(c, weights) if modes else None for c in pair]
             clouds += pair
             done.append((scene, pair[0]))
@@ -844,9 +826,8 @@ def run_sweep(
 
     Yields each (kind, level, replicate) task's rows, in config-declaration
     order whatever the job count. A failing combination yields error-marked
-    rows; a bad weights file, a scene with no cluster box to score, or given
-    cluster centers whose boxes hold no grid cell center, raises
-    ``ConfigError`` from this call, before any task runs. With a
+    rows; a weights file that cannot be loaded raises ``ConfigError`` from
+    this call, before any task runs. With a
     ``heatmap_dir``, each yielded task's ``pgm_bytes`` heatmaps are there, as
     ``<name>.pgm`` files, once the stream ends.
 
@@ -858,16 +839,6 @@ def run_sweep(
     on its first unit, so a change to a module made after that does not reach
     them.
     """
-    if cfg.scene.cluster_count == 0:
-        raise ConfigError("scene.cluster_count must be at least 1: rows score the cluster boxes")
-    if cfg.scene.cluster_centers is not None:
-        # Given centers fix the boxes. Random ones lie a cluster radius inside
-        # the grid, so their boxes always hold some cell centers.
-        boxes = tuple(_cluster_box(c) for c in cfg.scene.cluster_centers)
-        try:
-            _planar_box_mask(SWEEP_GRID.cells[:2], boxes, SWEEP_GRID)
-        except ValueError as exc:
-            raise ConfigError(f"scene.cluster_centers: {exc}") from exc
     weights = None
     if cfg.projector_weights is not None:
         try:
@@ -881,7 +852,7 @@ def run_sweep(
         for replicate in range(cfg.replicates)
     ]
     # A pool starts its workers up front, so never ask for more than can run.
-    workers = max(1, min(jobs, len(tasks), os.cpu_count() or 1))
+    workers = max(1, min(jobs, len(tasks), _usable_cpus()))
     # Two clouds a task, each of the configured scene's points; a pool gets a unit per worker.
     scene = cfg.scene
     points = max(1, 2 * (scene.cluster_count * scene.points_per_cluster + scene.noise_points))
@@ -890,6 +861,13 @@ def run_sweep(
     if workers == 1:
         return _inline(units, heatmap_dir)
     return _pooled(units, workers, heatmap_dir)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform can say; else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # The pool that pooled sweeps in this process share, as (worker count,

@@ -34,13 +34,14 @@ from .core import (
 )
 from .corruption import CorruptionKind, apply_corruption, spec_for_level
 
+# Matched in lower case; each kind's own name, as sweep configs give it, also counts.
 KIND_ALIASES = {
+    **{kind.value.lower(): kind for kind in CorruptionKind},
     "c1": CorruptionKind.SPURIOUS_POINTS,
     "spurious": CorruptionKind.SPURIOUS_POINTS,
     "c2": CorruptionKind.NON_POSITIONAL_DISTURBANCE,
     "nonpositional": CorruptionKind.NON_POSITIONAL_DISTURBANCE,
     "c3": CorruptionKind.BEAM_DROP,
-    "beamdrop": CorruptionKind.BEAM_DROP,
     "c4": CorruptionKind.POINT_SHIFTING,
     "shift": CorruptionKind.POINT_SHIFTING,
     "keypoint": CorruptionKind.KEY_POINT_MISSING,
@@ -52,12 +53,13 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_sweep_config(args.config)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     heatmap_dir = out_dir / "heatmaps" if args.emit_heatmaps else None
+    started = time.perf_counter()
+    # run_sweep raises a config error, if any, before it returns: nothing is written yet.
+    tasks = run_sweep(cfg, jobs=args.jobs, heatmap_dir=heatmap_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if heatmap_dir is not None:
         heatmap_dir.mkdir(exist_ok=True)
-    started = time.perf_counter()
-    tasks = run_sweep(cfg, jobs=args.jobs, heatmap_dir=heatmap_dir)
     # Heatmaps land as tasks arrive: a run that fails partway keeps no older report.
     report = out_dir / "report.csv"
     report.unlink(missing_ok=True)

@@ -302,9 +302,12 @@ def expand(cloud: PointCloud, spec: GridSpec, params, exponent_mode: str = PLANA
 
 
 def residual_columns(clouds, spec: GridSpec, params, exponent_modes):
-    """Yield per cloud ``(cols, amps)``: its ``residual_bevs`` are ``amps[k]`` at
-    the flat (x, y) columns ``cols`` and 0.0 elsewhere. Consecutive clouds of at
-    most DEPOSIT_BATCH_POINTS points in all share one pass; a larger one is alone."""
+    """Yield per cloud ``(cols, amps)``: ``amps[0]`` is ``bev_project`` of
+    ``voxelize``, and ``amps[k]`` of ``merge_residual`` with mode k's ``expand``,
+    bit for bit, at the flat (x, y) columns ``cols`` (0.0 elsewhere), so no dense
+    grid is built; a cloud's ``params`` entry is unused with no modes.
+    Consecutive clouds of at most DEPOSIT_BATCH_POINTS points in all share one
+    pass; a larger one is alone."""
     nx, ny, _ = spec.cells
     # A cloud counts as at least 1/16 of the bound: a pass holds at most 16 (nx, ny) rank slabs.
     sizes = [max(len(c), DEPOSIT_BATCH_POINTS // 16) for c in clouds]
@@ -323,14 +326,6 @@ def column_bevs(spec: GridSpec, cols: np.ndarray, amps: np.ndarray) -> list[np.n
     for bev, amp in zip(bevs, amps):
         bev[cols] = amp
     return list(bevs.reshape(-1, *spec.cells[:2]))
-
-
-def residual_bevs(cloud: PointCloud, spec: GridSpec, params, exponent_modes) -> list[np.ndarray]:
-    """``bev_project`` of ``voxelize``, then of ``merge_residual`` with each
-    mode's ``expand``, bit for bit, from ``residual_columns``, so no dense
-    grid is built; ``params`` is unused with no modes."""
-    ((cols, amps),) = residual_columns([cloud], spec, [params], exponent_modes)
-    return column_bevs(spec, cols, amps)
 
 
 def merge_residual(original: VoxelGrid, expanded: VoxelGrid) -> VoxelGrid:

@@ -555,15 +555,6 @@ def aggregate(
     return FeatureMap(y)
 
 
-def concat_mm(
-    f_image_conf: FeatureMap, f_radar_conf: FeatureMap, params: FusionParams
-) -> FeatureMap:
-    """Layer-normalize the two confidence-weighted maps and concatenate."""
-    _check_same_shape(f_image_conf, f_radar_conf)
-    y, _ = concat_mm_jvp(f_image_conf.data, None, f_radar_conf.data, None, params)
-    return FeatureMap(y)
-
-
 def deform_cross_attention(
     query: FeatureMap, value: FeatureMap, params: DeformAttnParams
 ) -> FeatureMap:

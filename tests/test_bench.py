@@ -376,7 +376,7 @@ class TestRunSweep:
                 return future
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: cpus)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
         rows = sweep_rows(tiny_config(replicates=replicates), jobs=jobs)
         assert started == ([] if want is None else [want])
         assert len(rows) == 2 * replicates
@@ -436,7 +436,7 @@ class TestSweepStream:
             return pools[-1]
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", make_pool)
-        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
         # Six units of BATCH_TASKS = 3 tasks, so that the window fills.
         cfg = tiny_config(replicates=18)
         replicates = [rows[0].replicate for rows in run_sweep(cfg, jobs=2)]
@@ -556,6 +556,7 @@ import rcbench.bench as bench
 from rcbench.corruption import CorruptionKind
 
 os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 entry = bench.SweepEntry(kind=CorruptionKind.SPURIOUS_POINTS, levels=(5.0,))
 list(bench.run_sweep(bench.SweepConfig(corruptions=(entry,), replicates=2), jobs=2))
 print(json.dumps([p.pid for p in multiprocessing.active_children()]))
@@ -566,7 +567,7 @@ class TestSharedPool:
     """Pooled sweeps in one process share one pool of workers."""
 
     def test_consecutive_sweeps_run_on_the_same_workers(self, tmp_path, monkeypatch, fresh_pool):
-        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
         workers = []
         for seed in (5, 6):
             cfg = tiny_config(replicates=4, master_seed=seed)
@@ -576,7 +577,7 @@ class TestSharedPool:
         assert workers[1] == workers[0]
 
     def test_a_killed_worker_is_replaced(self, tmp_path, monkeypatch, fresh_pool):
-        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
         cfg = tiny_config(replicates=4)
         serial = sweep_bytes(cfg, 1, tmp_path)
         assert sweep_bytes(cfg, 2, tmp_path) == serial
@@ -595,7 +596,7 @@ class TestSharedPool:
     ):
         """The next sweep starts before the pool can see the dead worker, so
         it may submit to the broken pool and must then run again."""
-        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
         cfg = tiny_config(replicates=4, master_seed=8)
         serial = sweep_bytes(cfg, 1, tmp_path)
         assert sweep_bytes(cfg, 2, tmp_path) == serial
@@ -612,7 +613,7 @@ class TestSharedPool:
         serial = sweep_bytes(cfg, 1, tmp_path)
         monkeypatch.setattr(sys.modules[__name__], "TASK_LOG", tmp_path / "stalled.pid")
         monkeypatch.setattr(bench, "_run_task", stall_once_on_replicate_3)
-        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
         list(run_sweep(tiny_config(replicates=2), jobs=2))
         old = multiprocessing.active_children()
         maps = new_dir(tmp_path)
@@ -632,7 +633,7 @@ class TestSharedPool:
         """A new pool that breaks raises at once; a reused one reruns once, then raises."""
         monkeypatch.setattr(sys.modules[__name__], "TASK_LOG", tmp_path / "tasks.log")
         monkeypatch.setattr(bench, "_run_task", exit_on_third_replicate)
-        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
         if reused:
             list(run_sweep(tiny_config(replicates=2), jobs=2))
         with pytest.raises(BrokenProcessPool):
@@ -642,7 +643,7 @@ class TestSharedPool:
     def test_interleaved_sweeps_of_two_worker_counts(self, tmp_path, monkeypatch, fresh_pool):
         """A sweep that asks for another worker count does not shut down the
         pool a suspended sweep still runs on; that sweep's end does."""
-        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 3)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
         two = tiny_config(replicates=8, master_seed=3)
         three = tiny_config(replicates=6, master_seed=4)
         dirs = new_dir(tmp_path), new_dir(tmp_path)
@@ -663,7 +664,7 @@ class TestSharedPool:
     def test_a_closed_sweep_leaves_no_task_behind(self, tmp_path, monkeypatch, forked_pool):
         monkeypatch.setattr(sys.modules[__name__], "TASK_LOG", tmp_path / "tasks.log")
         monkeypatch.setattr(bench, "_run_task", logged_task)
-        monkeypatch.setattr("rcbench.bench.os.cpu_count", lambda: 2)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
         stream = run_sweep(tiny_config(replicates=9, master_seed=1), jobs=2)
         next(stream)
         stream.close()
@@ -786,7 +787,6 @@ class TestSweepConfigJson:
         assert by_kind[CorruptionKind.BEAM_DROP] == (10.0, 14.0)
         assert by_kind[CorruptionKind.POINT_SHIFTING] == (3.0, 5.0)
         assert cfg.pipelines == ("raw", "3dge_planar")
-        assert cfg.total_beams == 32
 
     def test_default_round_trip(self):
         cfg = default_sweep_config()
@@ -889,6 +889,27 @@ class TestCli:
         assert code == 0
         assert len(read_point_cloud_csv(out_csv)) == 96
 
+    @pytest.mark.parametrize(
+        "alias, name",
+        [
+            ("c1", "SpuriousPoints"),
+            ("c2", "nonpositionaldisturbance"),
+            ("c3", "BEAMDROP"),
+            ("c4", "PointShifting"),
+            ("keypoint", "KeyPointMissing"),
+        ],
+    )
+    def test_corrupt_takes_the_sweep_kind_names(self, tmp_path, alias, name):
+        scene_csv = tmp_path / "scene.csv"
+        assert main(["gen-scene", "--seed", "3", "--out", str(scene_csv)]) == 0
+        outputs = []
+        for i, kind in enumerate((alias, name)):
+            out = tmp_path / f"out{i}.csv"
+            argv = ["corrupt", "--kind", kind, "--level", "3", "--seed", "4"]
+            assert main([*argv, "--in", str(scene_csv), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_run_writes_report(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
@@ -928,8 +949,8 @@ class TestCli:
         code, out_dir = self.run_config(tmp_path, payload, "--emit-heatmaps")
         assert code == 1
         assert "cannot load projector weights" in capsys.readouterr().err
-        assert not (out_dir / "report.csv").exists()
-        assert list((out_dir / "heatmaps").iterdir()) == []
+        # The weights load before the out dir or its heatmaps dir is made.
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -1012,10 +1033,9 @@ class TestCli:
         payload = {
             "corruptions": [
                 {"kind": "KeyPointMissing", "levels": [500]},
-                {"kind": "BeamDrop", "levels": [32, 64]},
+                {"kind": "BeamDrop", "levels": [31, 32]},
             ],
             "replicates": 2,
-            "total_beams": 64,
         }
         code, out_dir = self.run_config(tmp_path, payload)
         assert code == 0

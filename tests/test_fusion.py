@@ -26,7 +26,6 @@ from rcbench.fusion import (
     LayerNormParams,
     aggregate,
     aggregate_jvp,
-    concat_mm,
     concat_mm_jvp,
     confidence_map,
     confidence_map_jvp,
@@ -312,6 +311,11 @@ class TestAggregate:
             assert rel_error(analytic, numeric) < 1e-4
 
 
+def concat_mm_forward(fic, fpc, params):
+    """The weighted branch's layer norms and concatenation, with no tangent."""
+    return concat_mm_jvp(fic.data, None, fpc.data, None, params)[0]
+
+
 class TestConcatMm:
     def test_constant_confidence_is_neutral(self):
         """A spatially constant confidence disappears inside the LNs
@@ -330,7 +334,7 @@ class TestConcatMm:
         for const in (0.25, 0.5, 0.9):
             m = ConfidenceMap(np.full((4, 4), const))
             fic, fpc = weight_features(fi, fp, m)
-            out = concat_mm(fic, fpc, params).data
+            out = concat_mm_forward(fic, fpc, params)
             assert np.max(np.abs(out - unweighted)) < 1e-9
 
     def test_identical_halves_with_shared_parameters(self):
@@ -351,14 +355,14 @@ class TestConcatMm:
         f = feature(c, 4, 4, seed=26)
         m = ConfidenceMap(np.full((4, 4), 0.5))
         fic, fpc = weight_features(f, f, m)
-        out = concat_mm(fic, fpc, params).data
+        out = concat_mm_forward(fic, fpc, params)
         np.testing.assert_array_equal(out[:c], out[c:])
 
     def test_output_channel_count(self):
         c = 4
         params = kink_safe_fusion_params(c, seed=27)
-        out = concat_mm(feature(c, 3, 3, seed=28), feature(c, 3, 3, seed=29), params)
-        assert out.channels == 2 * c
+        out = concat_mm_forward(feature(c, 3, 3, seed=28), feature(c, 3, 3, seed=29), params)
+        assert out.shape == (2 * c, 3, 3)
 
     def test_gradient_against_finite_differences(self):
         c = 4
@@ -634,10 +638,9 @@ class TestValidation:
         [
             lambda fi, fp, params: weight_features(fi, fp, ConfidenceMap(np.full((3, 3), 0.5))),
             aggregate,
-            concat_mm,
             fuse_bev,
         ],
-        ids=["weight_features", "aggregate", "concat_mm", "fuse_bev"],
+        ids=["weight_features", "aggregate", "fuse_bev"],
     )
     @pytest.mark.parametrize("radar_shape", [(4, 4, 3), (4, 3, 4), (2, 3, 3)])
     def test_forward_ops_reject_maps_of_two_shapes(self, op, radar_shape):

@@ -15,7 +15,6 @@ from rcbench.fusion import (
     FeatureMap,
     aggregate,
     aggregate_jvp,
-    concat_mm,
     concat_mm_jvp,
     confidence_map,
     confidence_map_jvp,
@@ -135,7 +134,7 @@ def test_forward_ops_equal_jvp_primal_bit_for_bit():
             aggregate_jvp(fi, dfi, fp, dfp, params)[0],
         ),
         "concat_mm": (
-            concat_mm(FeatureMap(fi), FeatureMap(fp), params).data,
+            concat_mm_jvp(fi, None, fp, None, params)[0],
             concat_mm_jvp(fi, dfi, fp, dfp, params)[0],
         ),
         "deform_cross_attention": (
@@ -165,7 +164,7 @@ def test_fuse_bev_equals_composed_public_ops_bit_for_bit():
     query = aggregate(fi, fp, params)
     m = confidence_map(fi, params.conf_mlp)
     fic, fpc = weight_features(fi, fp, m)
-    mm = concat_mm(fic, fpc, params)
+    mm = FeatureMap(concat_mm_jvp(fic.data, None, fpc.data, None, params)[0])
     value = FeatureMap(np.concatenate([fi.data, fp.data]))
     plain = deform_cross_attention(query, value, params.attn_plain)
     weighted = deform_cross_attention(query, mm, params.attn_weighted)

@@ -64,7 +64,7 @@ def test_a_failed_write_keeps_the_report_contract(
     # workers fork now, with the failing write in place.
     assert run(tmp_path / "warm-up", "--jobs", jobs)[0] == 0
     if cpus == "one":
-        # No code reads the mask now; the contract must hold under one all the same.
+        # One allowed CPU caps --jobs 2 at a serial sweep; the contract holds all the same.
         one_cpu(monkeypatch)
     threads = threading.active_count()
     capsys.readouterr()

@@ -56,7 +56,8 @@ def test_serial_run_leaves_the_process_pool_unloaded(tmp_path):
 
 def test_pooled_run_leaves_numpy_random_and_ma_to_the_workers(tmp_path):
     # Two CPUs, so that two tasks really run on a pool of two workers.
-    statement = "import os\nos.cpu_count = lambda: 2\n" + run_statement(tmp_path, 2)
+    cpus = "os.cpu_count = lambda: 2\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+    statement = "import os\n" + cpus + run_statement(tmp_path, 2)
     task_modules = {"numpy.random", "numpy.ma"}
     loaded = loaded_after(statement, (*task_modules, "concurrent.futures.process"))
     assert "concurrent.futures.process" in loaded

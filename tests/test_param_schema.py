@@ -22,7 +22,6 @@ from rcbench.fusion import (
     FusionParams,
     aggregate,
     aggregate_jvp,
-    concat_mm,
     concat_mm_jvp,
     confidence_map,
     confidence_map_jvp,
@@ -131,7 +130,12 @@ def test_jvp_without_tangent_is_the_forward_op():
             aggregate_jvp(fi, None, fp, None, params),
         ),
         "concat_mm": (
-            concat_mm(FeatureMap(fi), FeatureMap(fp), params).data,
+            np.concatenate(
+                [
+                    layer_norm(FeatureMap(fi), params.ln_weighted_image).data,
+                    layer_norm(FeatureMap(fp), params.ln_weighted_radar).data,
+                ]
+            ),
             concat_mm_jvp(fi, None, fp, None, params),
         ),
         "deform_cross_attention": (

@@ -61,11 +61,16 @@ from rcbench.expansion import (
     kernel_params_for_cloud,
     merge_residual,
     project_params,
-    residual_bevs,
     residual_columns,
     voxelize,
 )
 from test_bench import sweep_bevs, sweep_rows, write_projector_weights
+
+
+def one_cloud_bevs(cloud, spec, params, exponent_modes):
+    """One cloud's raw BEV, then one per mode, from residual_columns and column_bevs."""
+    ((cols, amps),) = residual_columns([cloud], spec, [params], exponent_modes)
+    return column_bevs(spec, cols, amps)
 
 
 def small_grid(n=8):
@@ -294,8 +299,7 @@ def per_row_sweep(cfg, weights=None):
                     key = dict(kind=entry.kind.value, level=level, replicate=replicate, pipeline=pipeline)
                     try:
                         corrupted = apply_corruption(
-                            scene.cloud, spec, boxes=scene.boxes, bounds=SWEEP_GRID,
-                            total_beams=cfg.total_beams,
+                            scene.cloud, spec, boxes=scene.boxes, bounds=SWEEP_GRID
                         )
                         raw = pipeline_bev(corrupted, SWEEP_GRID, "raw")
                         before = metric_snr(raw, scene.boxes, SWEEP_GRID)
@@ -437,9 +441,9 @@ def uniform_cloud(seed, n):
 
 
 def all_bevs(cloud, spec, weights):
-    """Every pipeline's BEV of a cloud from one residual_bevs deposit."""
+    """Every pipeline's BEV of a cloud from one residual_columns deposit."""
     params = kernel_params_for_cloud(cloud, weights)
-    return dict(zip(PIPELINES, residual_bevs(cloud, spec, params, [PLANAR_XY, ISOTROPIC_3D])))
+    return dict(zip(PIPELINES, one_cloud_bevs(cloud, spec, params, [PLANAR_XY, ISOTROPIC_3D])))
 
 
 def oracle_bevs(cloud, spec, weights):
@@ -508,7 +512,7 @@ class TestBevsFromEntries:
                 yield block
 
         monkeypatch.setattr(expansion, "_entries", recorded)
-        residual_bevs(cloud, default_grid(), params, EXPONENT_MODES)
+        one_cloud_bevs(cloud, default_grid(), params, EXPONENT_MODES)
         assert sum(blocks) == 125 * len(cloud)
         assert max(blocks) <= 16384
 
@@ -575,7 +579,7 @@ class TestBatchedDeposit:
         # Empty clouds, points past the grid, unit kernels beside side-5 ones and
         # learned params; the bound cuts the list from one cloud a pass to one pass.
         clouds, params = zip(*(batch_cloud(*spec) for spec in specs))
-        alone = [residual_bevs(c, small_grid(), p, modes) for c, p in zip(clouds, params)]
+        alone = [one_cloud_bevs(c, small_grid(), p, modes) for c, p in zip(clouds, params)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(expansion, "DEPOSIT_BATCH_POINTS", bound)
             columns = list(residual_columns(clouds, small_grid(), params, modes))

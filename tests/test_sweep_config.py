@@ -20,6 +20,7 @@ from rcbench.bench import (
 )
 from rcbench.cli import main
 from rcbench.corruption import (
+    DEFAULT_BEAM_COUNT,
     SIGMA_KINDS,
     TARGETED_REMOVAL_CAP,
     CorruptionKind,
@@ -84,13 +85,16 @@ def test_bad_value_is_config_error(tmp_path, capsys, overrides):
     code, err = run_config(tmp_path, capsys, overrides)
     assert code == 1
     assert "config error" in err
-    assert not (tmp_path / "out" / "report.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # Keys the sweep config no longer has, each with a legal value: the scene's
-# fixed parts are module constants, and every sweep runs on the default grid.
+# fixed parts are module constants, every sweep runs on the default grid with
+# DEFAULT_BEAM_COUNT beams, and its cluster centers are drawn at random.
 REMOVED_KEYS = {
     "grid": ("config", {"grid": {**GRID, "cells": [4, 4, 2]}}),
+    "total_beams": ("config", {"total_beams": 32}),
+    "cluster_centers": ("scene", {"scene": {"cluster_centers": [[10.0, 5.0, 0.0]]}}),
     "cluster_radius_m": ("scene", {"scene": {"cluster_radius_m": 2.0}}),
     "box_height_m": ("scene", {"scene": {"box_height_m": 2.0}}),
     "target_rcs_range": ("scene", {"scene": {"target_rcs_range": [5, 10]}}),
@@ -105,7 +109,7 @@ def test_removed_key_is_an_unknown_field(tmp_path, capsys, key):
     code, err = run_config(tmp_path, capsys, overrides)
     assert code == 1
     assert f"config error: unknown {context} fields: [{key!r}]" in err
-    assert not (tmp_path / "out" / "report.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 DUPLICATES = {
@@ -162,23 +166,17 @@ def test_corrupt_bad_level_is_exit_1(tmp_path, capsys, kind, level):
     assert not (tmp_path / "y.csv").exists()
 
 
-finite = st.floats(-1e6, 1e6, allow_nan=False)
-
-
 @st.composite
 def scene_configs(draw):
-    count = draw(st.integers(0, 3))
-    centers = st.lists(st.tuples(finite, finite, finite), min_size=count, max_size=count)
     return SceneConfig(
-        cluster_count=count,
+        cluster_count=draw(st.integers(1, 3)),
         points_per_cluster=draw(st.integers(0, 100)),
         noise_points=draw(st.integers(0, 100)),
-        cluster_centers=draw(st.none() | centers.map(tuple)),
     )
 
 
 @st.composite
-def sweep_entries(draw, total_beams):
+def sweep_entries(draw):
     """Entries whose (kind, level) pairs are all distinct and whose counts
     lie within the bounds that hold whatever the scene."""
     entries, seen = [], set()
@@ -187,7 +185,7 @@ def sweep_entries(draw, total_beams):
         if kind in SIGMA_KINDS:
             level = st.floats(1e-3, 50.0)
         elif kind is CorruptionKind.BEAM_DROP:
-            level = st.integers(1, total_beams).map(float)
+            level = st.integers(1, DEFAULT_BEAM_COUNT).map(float)
         else:
             level = st.integers(1, TARGETED_REMOVAL_CAP if gamma == 1 else 64).map(float)
         levels = []
@@ -211,20 +209,18 @@ def sweep_entries(draw, total_beams):
 
 @st.composite
 def sweep_configs(draw):
-    total_beams = draw(st.integers(1, 64))
     return SweepConfig(
         scene=draw(scene_configs()),
-        corruptions=draw(sweep_entries(total_beams)),
+        corruptions=draw(sweep_entries()),
         pipelines=tuple(draw(st.lists(st.sampled_from(PIPELINES), min_size=1, unique=True))),
         projector_weights=draw(st.none() | st.text(min_size=1, max_size=12)),
         replicates=draw(st.integers(1, 50)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        total_beams=total_beams,
     )
 
 
 RICH = SweepConfig(
-    scene=SceneConfig(cluster_count=2, cluster_centers=((1.0, 2.0, 0.0), (-3.5, 4.0, 1.0))),
+    scene=SceneConfig(cluster_count=2, points_per_cluster=7, noise_points=0),
     corruptions=(
         SweepEntry(CorruptionKind.SPURIOUS_POINTS, (2.5,), mode=SpuriousMode.POINT_RELATED),
         SweepEntry(CorruptionKind.SPURIOUS_POINTS, (4.0,), mode=SpuriousMode.RANDOM),

@@ -1,7 +1,7 @@
 """What a sweep rejects before any pipeline runs: counts out of range
-whatever the scene, which the config itself rejects, and scenes with no
-boxes to score or with given cluster centers whose boxes miss the grid,
-which the sweep rejects.
+whatever the scene and scenes with no boxes to score, which the config
+itself rejects, and a weights file that cannot be loaded, which the sweep
+rejects. None of them leaves anything on disk.
 """
 
 import json
@@ -9,27 +9,26 @@ import json
 import pytest
 
 import rcbench.bench as bench
-import rcbench.expansion as expansion
 from rcbench.bench import ConfigError, SceneConfig, SweepConfig, SweepEntry
 from rcbench.cli import main
 from rcbench.corruption import TARGETED_REMOVAL_CAP, CorruptionKind
 
 
-def run_config(tmp_path, capsys, config):
+def run_config(tmp_path, capsys, config, *flags):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"pipelines": ["raw"], "replicates": 2, **config}))
     out = tmp_path / "out"
-    code = main(["run", "--config", str(path), "--out-dir", str(out)])
+    code = main(["run", "--config", str(path), "--out-dir", str(out), *flags])
     return code, capsys.readouterr().err, out / "report.csv"
 
 
 COUNT_BOUNDS = {
     "beams-above-total": (
-        {"corruptions": [{"kind": "BeamDrop", "levels": [40]}], "total_beams": 32},
+        {"corruptions": [{"kind": "BeamDrop", "levels": [40]}]},
         "drop_count=40 outside [1, total_beams=32]",
     ),
     "beams-zero": (
-        {"corruptions": [{"kind": "BeamDrop", "levels": [0]}], "total_beams": 32},
+        {"corruptions": [{"kind": "BeamDrop", "levels": [0]}]},
         "drop_count=0 outside [1, total_beams=32]",
     ),
     "keypoint-zero": (
@@ -69,11 +68,12 @@ BAD_ENTRIES = {
 def test_config_rejects_count_out_of_bounds(entry):
     # A library caller that builds a config and never runs it is told too.
     with pytest.raises(ConfigError, match="outside"):
-        SweepConfig(corruptions=(entry,), total_beams=32)
+        SweepConfig(corruptions=(entry,))
 
 
 def test_beam_count_within_total_runs(tmp_path, capsys):
-    config = {"corruptions": [{"kind": "BeamDrop", "levels": [40]}], "total_beams": 64}
+    # Every sweep splits the azimuth into 32 beams; 31 dropped leaves points to score.
+    config = {"corruptions": [{"kind": "BeamDrop", "levels": [1, 31]}]}
     code, _, report = run_config(tmp_path, capsys, config)
     assert code == 0
     assert "ERROR" not in report.read_text()
@@ -88,26 +88,16 @@ def test_scene_dependent_count_stays_a_row_error(tmp_path, capsys):
     assert len(rows) == 2 and all("ERROR" in row for row in rows)
 
 
-def test_no_box_scene_fails_before_any_pipeline(monkeypatch):
-    # Every pipeline bins the cloud with voxel_indices first.
-    calls = {"voxel_indices": 0}
-    original = expansion.voxel_indices
-
-    def counted(*args, **kwargs):
-        calls["voxel_indices"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(expansion, "voxel_indices", counted)
-    cfg = SweepConfig(
-        scene=SceneConfig(cluster_count=0),
-        corruptions=(SweepEntry(kind=CorruptionKind.POINT_SHIFTING, levels=(1.0,)),),
-        pipelines=bench.PIPELINES,
-        replicates=3,
-    )
-    # A scene with no cluster has no box to score, whatever the seed.
+def test_no_box_scene_fails_before_any_pipeline():
+    # A scene with no cluster has no box to score, whatever the seed, so the
+    # config cannot be built, and no sweep of it can start.
     with pytest.raises(ConfigError, match="cluster_count must be at least 1"):
-        bench.run_sweep(cfg)
-    assert calls["voxel_indices"] == 0
+        SweepConfig(
+            scene=SceneConfig(cluster_count=0),
+            corruptions=(SweepEntry(kind=CorruptionKind.POINT_SHIFTING, levels=(1.0,)),),
+            pipelines=bench.PIPELINES,
+            replicates=3,
+        )
 
 
 def test_no_box_scene_is_config_error(tmp_path, capsys):
@@ -121,10 +111,23 @@ def test_no_box_scene_is_config_error(tmp_path, capsys):
     assert not report.exists()
 
 
-def test_off_grid_cluster_centers_are_config_error(tmp_path, capsys):
-    # Given centers fix the boxes, so one that holds no cell center fails every row.
-    config = {"scene": {"cluster_count": 1, "cluster_centers": [[100.0, 100.0, 0.0]]}}
-    code, err, report = run_config(tmp_path, capsys, config)
+CONFIG_ERRORS = {
+    "cluster-less": ({"scene": {"cluster_count": 0}}, "scene.cluster_count must be at least 1"),
+    "missing-weights": (
+        {"pipelines": ["raw", "3dge_planar"], "projector_weights": "no/such/weights.json"},
+        "cannot load projector weights",
+    ),
+    "cluster-centers": (
+        {"scene": {"cluster_centers": [[100.0, 100.0, 0.0]]}},
+        "unknown scene fields: ['cluster_centers']",
+    ),
+}
+
+
+@pytest.mark.parametrize("config, named", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+def test_config_error_writes_nothing(tmp_path, capsys, config, named):
+    # Neither the out dir nor its heatmaps dir is made before the config is found bad.
+    code, err, report = run_config(tmp_path, capsys, config, "--emit-heatmaps", "--jobs", "2")
     assert code == 1
-    assert "config error: scene.cluster_centers: no grid cells fall inside the boxes" in err
-    assert not report.exists()
+    assert f"config error: {named}" in err
+    assert not report.parent.exists()

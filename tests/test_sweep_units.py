@@ -248,3 +248,23 @@ def test_a_worker_killed_in_a_heatmap_sweep_never_hangs_it(tmp_path):
     else:
         assert code == 0, log
         assert (out_dir / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "affinity, cpus, pooled",
+    [({0}, 64, []), ({0, 1}, 64, [2]), (None, 1, []), (None, 2, [2])],
+    ids=["one-allowed-cpu", "two-allowed-cpus", "no-affinity-one-cpu", "no-affinity-two-cpus"],
+)
+def test_jobs_are_capped_at_the_cpus_this_process_may_run_on(monkeypatch, affinity, cpus, pooled):
+    # The pool is replaced by a recorder of its worker count, so no process starts.
+    started = []
+    monkeypatch.setattr(bench, "_pooled", lambda units, workers, _: started.append(workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    stream = run_sweep(tiny_config(replicates=8), jobs=64)
+    assert started == pooled
+    if not pooled:
+        assert len(list(stream)) == 8
